@@ -11,14 +11,17 @@ improve a predictive model, following the workflow of section 3 of the paper:
 4. build a join plan (budget batching by default),
 5. for each batch: execute the joins, impute, encode, and run feature
    selection (RIFS by default) to decide which foreign columns to keep,
-6. materialise the kept columns onto the full base table and train the final
-   estimator to measure the achieved augmentation.
+6. materialise the kept columns (onto the full base table, or its coreset
+   for a chunked base, optionally streaming the full output to disk) and
+   train the final estimator to measure the achieved augmentation.
 """
 
 from __future__ import annotations
 
 import time
+from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -26,7 +29,11 @@ from repro.coreset import make_coreset_builder
 from repro.coreset.base import default_coreset_size
 from repro.core.config import ARDAConfig
 from repro.core.executor import make_executor
-from repro.core.join_execution import join_candidates_detailed, replay_kept_joins
+from repro.core.join_execution import (
+    iter_replay_kept_joins,
+    join_candidates_detailed,
+    replay_kept_joins,
+)
 from repro.core.join_plan import build_join_plan
 from repro.core.results import AugmentationReport, BatchReport
 from repro.datasets.bundle import AugmentationDataset
@@ -34,23 +41,32 @@ from repro.discovery.candidates import JoinCandidate
 from repro.discovery.discovery import JoinDiscovery
 from repro.discovery.repository import DataRepository, RepositorySnapshot
 from repro.ml.automl import AutoMLSearch
-from repro.relational.column import Column
 from repro.relational.encoding import encode_features_binned, to_design_matrix
 from repro.relational.imputation import impute_table
-from repro.relational.join import (
-    StreamingHashJoin,
-    StreamJoinStats,
-    _output_names,
-    as_chunk_source,
-    estimate_source_nbytes,
-    iter_grace_left_join,
-)
+from repro.relational.join import StreamJoinStats, as_chunk_source
 from repro.relational.persist import write_table_stream
-from repro.relational.schema import CATEGORICAL, NUMERIC
-from repro.relational.table import Table, unique_name
+from repro.relational.table import Table
 from repro.selection import make_selector
 from repro.selection.base import default_estimator, holdout_score, infer_task
 from repro.selection.tuple_ratio import TupleRatioFilter
+
+if TYPE_CHECKING:  # avoid a runtime core <-> serving import cycle
+    from repro.serving.pipeline import FittedPipeline
+
+
+@dataclass
+class _Selection:
+    """What the batch loop decided: the kept columns and how to replay them."""
+
+    kept_columns: list[str] = field(default_factory=list)
+    # (candidate, kept positions within its added columns, loop-time names)
+    kept_specs: list[tuple[JoinCandidate, list[int], list[str]]] = field(
+        default_factory=list
+    )
+    spec_batches: list[int] = field(default_factory=list)  # batch that kept each spec
+    batches: list[BatchReport] = field(default_factory=list)
+    join_time: float = 0.0
+    selection_time: float = 0.0
 
 
 class ARDA:
@@ -97,38 +113,27 @@ class ARDA:
         table files: the pipeline then opens it as a lazy disk-backed
         repository with ``config.lru_tables`` decoded tables kept alive.
 
-        With ``config.pin_snapshot`` on (the default), the whole run reads one
-        pinned manifest generation
+        The whole run reads one pinned manifest generation
         (:meth:`~repro.discovery.repository.DataRepository.snapshot`): a
         concurrent ``replace``/``remove`` on the repository can never hand
         discovery one version of a table and the final materialisation
         another.  Pass a :class:`~repro.discovery.repository.RepositorySnapshot`
         directly to control the pinned generation yourself.
 
-        Out-of-core mode: ``base_table`` may be a chunked table source
-        (:class:`~repro.relational.persist.ChunkedTableReader`, anything with
-        ``iter_chunks``) instead of a :class:`Table`.  The pipeline then never
-        materialises the base: the coreset is gathered with a chunk-pruned
-        :meth:`~repro.relational.persist.ChunkedTableReader.take`, feature
-        selection runs on the coreset exactly as before, and the final
-        materialisation streams base chunks through build-once hash joins with
-        zone-map pruning, writing the augmented table chunk-by-chunk to
-        ``augmented_path`` (no full output is written when the path is
-        omitted).  Peak memory is bounded by the coreset plus one chunk wave
-        (``config.memory_budget``) plus the build sides.  In this mode the
-        report's ``augmented_table`` holds the *coreset* materialisation, the
-        scores are coreset-level, ``augmented_path``/``stream_stats`` record
-        the streamed output and the per-table pruning ratios, and a kept
-        *soft* join falls back to materialising the base (soft joins need
-        global nearest-neighbour context).
+        ``base_table`` is a :class:`Table` or a chunked table source
+        (:class:`~repro.relational.persist.ChunkedTableReader`); both run the
+        same stages.  With ``augmented_path``, the kept joins stream over every
+        base chunk into that file
+        (:func:`~repro.core.join_execution.iter_replay_kept_joins`, peak memory
+        one chunk per kept join plus the build sides) and ``stream_stats``
+        records the per-table pruning.  The base kind decides one thing: the
+        table the report materialises and scores — the full base for a
+        :class:`Table`, the coreset for a chunked source (never materialised).
         """
         config = self.config
         start = time.perf_counter()
-        base_source = None
-        if not isinstance(base_table, Table) and hasattr(base_table, "iter_chunks"):
-            base_source = as_chunk_source(base_table)
         repository = self._resolve_repository(repository)
-        if config.pin_snapshot and isinstance(repository, DataRepository):
+        if isinstance(repository, DataRepository):
             # the pin is dropped when this snapshot goes out of scope at the
             # end of the call (weakref-finalised), or — if a pipeline capture
             # binds it — when the captured pipeline is dropped
@@ -139,80 +144,141 @@ class ARDA:
             from repro.relational.encoding import encode_target
 
             task = infer_task(encode_target(base_table.column(target)))
+        dataset_name = dataset_name or base_table.name
 
         discovery_time = 0.0
         if candidates is None:
             discovery_start = time.perf_counter()
-            discovery = JoinDiscovery(use_cache=config.cache_profiles)
-            # sharded profiling: fan per-(table, chunk-range) work over the
-            # configured executor backend; rankings are byte-identical to
-            # serial, so this knob changes wall-clock only
-            discovery_jobs = (
-                config.discovery_n_jobs
-                if config.discovery_n_jobs is not None
-                else config.n_jobs
-            )
-            discovery_executor = (
-                make_executor(config.executor, discovery_jobs)
-                if config.executor != "serial"
-                else None
-            )
-            try:
-                candidates = discovery.discover(
-                    base_table,
-                    repository,
-                    target=target,
-                    soft_key_columns=soft_key_columns,
-                    executor=discovery_executor,
-                )
-            finally:
-                if discovery_executor is not None:
-                    discovery_executor.shutdown()
-            if config.persist_profiles and repository.is_disk_backed:
-                # the next process serves every discovery profile from the
-                # sidecar without reading a single table body; a repository
-                # on read-only storage just skips the save (best effort)
-                try:
-                    repository.save_profiles()
-                except OSError:
-                    pass
+            candidates = self._discover(base_table, repository, target, soft_key_columns)
             discovery_time = time.perf_counter() - discovery_start
         candidates = list(candidates)
         tables_considered = len(candidates)
+        candidates = self._tuple_ratio_filter(base_table, repository, candidates)
 
-        # Tuple-Ratio pre-filter (Table 4)
-        tables_filtered = 0
-        if config.tuple_ratio_tau is not None:
-            tr_filter = TupleRatioFilter(tau=config.tuple_ratio_tau)
-            keep, _decisions = tr_filter.filter_candidates(
-                base_table.num_rows,
-                [
-                    (repository.get(c.foreign_table), c.foreign_columns)
-                    for c in candidates
-                ],
-            )
-            tables_filtered = len(candidates) - len(keep)
-            candidates = [candidates[i] for i in keep]
-
-        # coreset construction
         coreset_start = time.perf_counter()
-        if base_source is not None:
-            coreset = self._build_coreset_streamed(base_source, target)
-        else:
-            coreset = self._build_coreset(base_table, target)
+        coreset = self._build_coreset(base_table, target)
         coreset_time = time.perf_counter() - coreset_start
+        score_base = base_table if isinstance(base_table, Table) else coreset
 
-        # join plan
+        executor = make_executor(config.executor, config.n_jobs)
+        try:
+            selection = self._select_batches(
+                coreset, repository, candidates, target, task, executor
+            )
+            join_start = time.perf_counter()
+            augmented, out_path, stream_stats = self._materialise(
+                base_table, score_base, repository, selection.kept_specs,
+                executor, augmented_path,
+            )
+            join_time = selection.join_time + time.perf_counter() - join_start
+        finally:
+            executor.shutdown()
+
+        fit_start = time.perf_counter()
+        base_score, augmented_score, pipeline = self._final_fit(
+            score_base, augmented, selection, repository, target, task, dataset_name
+        )
+        fit_time = time.perf_counter() - fit_start
+
+        report = AugmentationReport(
+            dataset_name=dataset_name,
+            task=task,
+            base_score=base_score,
+            augmented_score=augmented_score,
+            augmented_table=augmented,
+            kept_columns=selection.kept_columns,
+            kept_tables=sorted({spec[0].foreign_table for spec in selection.kept_specs}),
+            batches=selection.batches,
+            tables_considered=tables_considered,
+            tables_filtered_out=tables_considered - len(candidates),
+            total_time=time.perf_counter() - start,
+            selection_time=selection.selection_time,
+            join_time=join_time,
+            discovery_time=discovery_time,
+            coreset_time=coreset_time,
+            fit_time=fit_time,
+            executor=executor.name,
+            pipeline=pipeline,
+            augmented_path=out_path,
+            stream_stats=stream_stats,
+        )
+        report.record_metrics()
+        return report
+
+    # -- stages -----------------------------------------------------------------------
+
+    def _discover(self, base_table, repository, target, soft_key_columns) -> list[JoinCandidate]:
+        """Join discovery over the repository (when no candidates are given)."""
+        config = self.config
+        discovery = JoinDiscovery(use_cache=config.cache_profiles)
+        # sharded profiling: fan per-(table, chunk-range) work over the
+        # configured executor backend; rankings are byte-identical to serial,
+        # so this changes wall-clock only
+        executor = (
+            make_executor(config.executor, config.n_jobs)
+            if config.executor != "serial"
+            else None
+        )
+        try:
+            candidates = discovery.discover(
+                base_table,
+                repository,
+                target=target,
+                soft_key_columns=soft_key_columns,
+                executor=executor,
+            )
+        finally:
+            if executor is not None:
+                executor.shutdown()
+        if config.persist_profiles and repository.is_disk_backed:
+            # the next process serves every discovery profile from the
+            # sidecar without reading a single table body; a repository on
+            # read-only storage just skips the save (best effort)
+            try:
+                repository.save_profiles()
+            except OSError:
+                pass
+        return candidates
+
+    def _tuple_ratio_filter(self, base_table, repository, candidates) -> list[JoinCandidate]:
+        """The Tuple-Ratio pre-filter of Table 4 (a no-op when ``tuple_ratio_tau`` is unset)."""
+        if self.config.tuple_ratio_tau is None:
+            return candidates
+        tr_filter = TupleRatioFilter(tau=self.config.tuple_ratio_tau)
+        keep, _decisions = tr_filter.filter_candidates(
+            base_table.num_rows,
+            [(repository.get(c.foreign_table), c.foreign_columns) for c in candidates],
+        )
+        return [candidates[i] for i in keep]
+
+    def _build_coreset(self, base_table, target: str) -> Table:
+        """The base-row sample the join batches and feature selection run on.
+
+        The builder samples row indices from the target column and gathers
+        them with ``take``, which on a chunked reader reads only the chunks
+        holding sampled rows.  ``"none"`` (or a coreset at least as large as
+        the base) materialises the whole base — that is what was asked for.
+        """
+        config = self.config
+        size = config.coreset_size or default_coreset_size(base_table.num_rows)
+        if config.coreset_strategy == "none" or size >= base_table.num_rows:
+            return as_chunk_source(base_table).table()
+        builder = make_coreset_builder(
+            config.coreset_strategy, random_state=config.random_state
+        )
+        return builder.reduce_table(base_table, size, target=target)
+
+    def _select_batches(
+        self, coreset: Table, repository, candidates, target: str, task: str, executor
+    ) -> _Selection:
+        """Plan the join batches and run feature selection on each over the coreset."""
+        config = self.config
         budget = config.budget if config.budget is not None else max(coreset.num_rows, 50)
         batches = build_join_plan(
             candidates, repository, strategy=config.join_plan, budget=budget
         )
-        executor = make_executor(config.executor, config.n_jobs)
-
         estimator = self._make_selection_estimator(task)
         rng = np.random.default_rng(config.random_state)
-
-        # baseline on the coreset (used for batch-level comparisons only)
         selector = make_selector(
             config.selector, random_state=config.random_state, **self._selector_options()
         )
@@ -229,183 +295,168 @@ class ARDA:
             and binned_probe(task)
         )
 
-        kept_columns: list[str] = []
-        kept_tables: list[str] = []
-        # (candidate, kept positions within its added columns, loop-time names)
-        kept_specs: list[tuple[JoinCandidate, list[int], list[str]]] = []
-        kept_spec_batches: list[int] = []  # batch index that kept each spec
-        batch_reports: list[BatchReport] = []
+        selection = _Selection()
         working = coreset
-        join_time = 0.0
-        selection_time = 0.0
-        try:
-            for batch_index, batch in enumerate(batches):
-                join_start = time.perf_counter()
-                joined, added_per_candidate = join_candidates_detailed(
-                    working,
-                    repository,
-                    batch.candidates,
-                    soft_strategy=config.soft_join,
-                    time_resample=config.time_resample,
-                    rng=rng,
-                    executor=executor,
-                    widths=batch.feature_counts,
-                )
-                batch_join_time = time.perf_counter() - join_start
-                join_time += batch_join_time
-                foreign_columns = [name for names in added_per_candidate for name in names]
-                if not foreign_columns:
-                    continue
-
-                imputed = impute_table(joined, seed=config.random_state)
-                X, y, encoding = to_design_matrix(
-                    imputed,
-                    target,
-                    max_categories=config.max_categories,
-                    seed=config.random_state,
-                )
-                foreign_set = set(foreign_columns)
-                selection_start = time.perf_counter()
-                if share_binned:
-                    # the table is imputed two lines up, so the binning pass
-                    # skips its own (idempotent) imputation
-                    binned = encode_features_binned(
-                        imputed,
-                        exclude=[target],
-                        max_categories=config.max_categories,
-                        impute=False,
-                        seed=config.random_state,
-                        max_bins=config.max_bins,
-                    )
-                    result = selector.select(
-                        X, y, task=task, estimator=estimator, binned=binned
-                    )
-                else:
-                    result = selector.select(X, y, task=task, estimator=estimator)
-                selection_time += time.perf_counter() - selection_start
-
-                selected_sources = {encoding.source_columns[i] for i in result.selected}
-                newly_kept = [name for name in foreign_columns if name in selected_sources]
-                batch_score = holdout_score(
-                    X[:, result.selected], y, task, estimator=estimator,
-                    random_state=config.random_state,
-                ) if len(result.selected) else -np.inf
-                batch_reports.append(
-                    BatchReport(
-                        batch_index=batch_index,
-                        table_names=batch.table_names,
-                        columns_considered=len(foreign_columns),
-                        columns_kept=newly_kept,
-                        selection_time=result.elapsed,
-                        holdout_score=float(batch_score),
-                        join_time=batch_join_time,
-                    )
-                )
-                if newly_kept:
-                    kept_columns.extend(newly_kept)
-                    newly_kept_set = set(newly_kept)
-                    for candidate, added in zip(batch.candidates, added_per_candidate):
-                        positions = [
-                            index
-                            for index, name in enumerate(added)
-                            if name in newly_kept_set
-                        ]
-                        if positions:
-                            kept_tables.append(candidate.foreign_table)
-                            kept_specs.append(
-                                (candidate, positions, [added[i] for i in positions])
-                            )
-                            kept_spec_batches.append(batch_index)
-                    # carry the kept columns forward so later batches can find
-                    # co-predictors that span tables
-                    carry = [c for c in joined.column_names if c not in foreign_set or c in newly_kept]
-                    working = joined.select(carry)
-
-            # final materialisation on the full base table.  In streamed mode
-            # the full output goes chunk-by-chunk to augmented_path and the
-            # in-memory materialisation (scores, pipeline capture) is done on
-            # the coreset, keeping the working set bounded.
+        for batch_index, batch in enumerate(batches):
             join_start = time.perf_counter()
-            stream_stats: dict[str, StreamJoinStats] | None = None
-            out_path: Path | None = None
-            if base_source is not None:
-                augmented_full = self._materialise_kept(
-                    coreset, repository, kept_specs, executor
-                )
-                out_path, stream_stats = self._materialise_kept_streamed(
-                    base_source, repository, kept_specs, executor, augmented_path
-                )
-            else:
-                augmented_full = self._materialise_kept(
-                    base_table, repository, kept_specs, executor
-                )
-            join_time += time.perf_counter() - join_start
-        finally:
-            executor.shutdown()
-
-        fit_start = time.perf_counter()
-        score_base = coreset if base_source is not None else base_table
-        base_score = self._final_score(score_base, target, task)
-        pipeline = None
-        has_features = any(name != target for name in augmented_full.column_names)
-        if config.capture_pipeline and has_features:
-            # the capture path fits imputer/encoder through the serving
-            # kernels, which reproduce impute_table + to_design_matrix
-            # byte-for-byte — the holdout score below is therefore identical
-            # to the pre-capture _final_score(augmented_full, ...) result
-            from repro.serving.pipeline import fit_pipeline_from_training
-
-            pipeline, X_full, y_full = fit_pipeline_from_training(
-                target=target,
-                task=task,
-                base_table=score_base,
-                augmented_table=augmented_full,
-                kept_specs=kept_specs,
-                repository=repository,
-                estimator=self._make_serving_estimator(task),
-                seed=config.random_state,
+            joined, added_per_candidate = join_candidates_detailed(
+                working,
+                repository,
+                batch.candidates,
                 soft_strategy=config.soft_join,
                 time_resample=config.time_resample,
-                max_categories=config.max_categories,
-                batch_of_spec=dict(enumerate(kept_spec_batches)),
-                metadata={"dataset": dataset_name or base_table.name},
+                rng=rng,
+                executor=executor,
+                widths=batch.feature_counts,
             )
-            augmented_score = holdout_score(
-                X_full,
-                y_full,
-                task,
-                estimator=self._make_final_estimator(task),
-                test_size=config.test_size,
-                random_state=config.random_state,
-            )
-        else:
-            augmented_score = self._final_score(augmented_full, target, task)
-        fit_time = time.perf_counter() - fit_start
+            batch_join_time = time.perf_counter() - join_start
+            selection.join_time += batch_join_time
+            foreign_columns = [name for names in added_per_candidate for name in names]
+            if not foreign_columns:
+                continue
 
-        report = AugmentationReport(
-            dataset_name=dataset_name or base_table.name,
-            task=task,
-            base_score=base_score,
-            augmented_score=augmented_score,
-            augmented_table=augmented_full,
-            kept_columns=kept_columns,
-            kept_tables=sorted(set(kept_tables)),
-            batches=batch_reports,
-            tables_considered=tables_considered,
-            tables_filtered_out=tables_filtered,
-            total_time=time.perf_counter() - start,
-            selection_time=selection_time,
-            join_time=join_time,
-            discovery_time=discovery_time,
-            coreset_time=coreset_time,
-            fit_time=fit_time,
-            executor=executor.name,
-            pipeline=pipeline,
-            augmented_path=out_path if base_source is not None else None,
-            stream_stats=stream_stats,
+            imputed = impute_table(joined, seed=config.random_state)
+            X, y, encoding = to_design_matrix(
+                imputed,
+                target,
+                max_categories=config.max_categories,
+                seed=config.random_state,
+            )
+            foreign_set = set(foreign_columns)
+            selection_start = time.perf_counter()
+            if share_binned:
+                # the table is imputed two lines up, so the binning pass
+                # skips its own (idempotent) imputation
+                binned = encode_features_binned(
+                    imputed,
+                    exclude=[target],
+                    max_categories=config.max_categories,
+                    impute=False,
+                    seed=config.random_state,
+                    max_bins=config.max_bins,
+                )
+                result = selector.select(
+                    X, y, task=task, estimator=estimator, binned=binned
+                )
+            else:
+                result = selector.select(X, y, task=task, estimator=estimator)
+            selection.selection_time += time.perf_counter() - selection_start
+
+            selected_sources = {encoding.source_columns[i] for i in result.selected}
+            newly_kept = [name for name in foreign_columns if name in selected_sources]
+            batch_score = holdout_score(
+                X[:, result.selected], y, task, estimator=estimator,
+                random_state=config.random_state,
+            ) if len(result.selected) else -np.inf
+            selection.batches.append(
+                BatchReport(
+                    batch_index=batch_index,
+                    table_names=batch.table_names,
+                    columns_considered=len(foreign_columns),
+                    columns_kept=newly_kept,
+                    selection_time=result.elapsed,
+                    holdout_score=float(batch_score),
+                    join_time=batch_join_time,
+                )
+            )
+            if newly_kept:
+                selection.kept_columns.extend(newly_kept)
+                newly_kept_set = set(newly_kept)
+                for candidate, added in zip(batch.candidates, added_per_candidate):
+                    positions = [i for i, name in enumerate(added) if name in newly_kept_set]
+                    if positions:
+                        selection.kept_specs.append(
+                            (candidate, positions, [added[i] for i in positions])
+                        )
+                        selection.spec_batches.append(batch_index)
+                # carry the kept columns forward so later batches can find
+                # co-predictors that span tables
+                carry = [c for c in joined.column_names if c not in foreign_set or c in newly_kept]
+                working = joined.select(carry)
+        return selection
+
+    def _materialise(
+        self, base_table, score_base: Table, repository, kept_specs, executor, augmented_path
+    ) -> tuple[Table, Path | None, dict[str, StreamJoinStats] | None]:
+        """Replay the kept joins on the score base; stream them to ``augmented_path``.
+
+        The in-memory replay uses the same positional-match/pinned-name kernel
+        serving uses (see :func:`~repro.core.join_execution.replay_kept_joins`).
+        With a path, the kept joins also run chunk by chunk over the whole
+        base into that file.  Returns the replayed table, the written path and
+        the per-foreign-table streaming stats (both ``None`` without a path).
+        """
+        config = self.config
+        replay = {
+            "soft_strategy": config.soft_join,
+            "time_resample": config.time_resample,
+            "executor": executor,
+        }
+        augmented = replay_kept_joins(
+            score_base, repository, kept_specs,
+            rng=np.random.default_rng(config.random_state), **replay,
         )
-        report.record_metrics()
-        return report
+        if augmented_path is None:
+            return augmented, None, None
+        stats: dict[str, StreamJoinStats] = {}
+        chunks = iter_replay_kept_joins(
+            base_table, repository, kept_specs,
+            rng=np.random.default_rng(config.random_state),
+            chunk_rows=config.chunk_rows,
+            memory_budget=config.memory_budget,
+            spill_partitions=config.spill_partitions,
+            spill_dir=config.spill_dir,
+            stats=stats,
+            **replay,
+        )
+        write_table_stream(
+            augmented_path, chunks, name=base_table.name, chunk_rows=config.chunk_rows
+        )
+        return augmented, Path(augmented_path), stats
+
+    def _final_fit(
+        self, score_base: Table, augmented: Table, selection: _Selection, repository,
+        target: str, task: str, dataset_name: str,
+    ) -> tuple[float, float, "FittedPipeline | None"]:
+        """Base and augmented holdout scores, plus the captured pipeline."""
+        config = self.config
+        base_score = self._final_score(score_base, target, task)
+        has_features = any(name != target for name in augmented.column_names)
+        if not (config.capture_pipeline and has_features):
+            return base_score, self._final_score(augmented, target, task), None
+        # the capture path fits imputer/encoder through the serving kernels,
+        # which reproduce impute_table + to_design_matrix byte-for-byte — the
+        # holdout score below is therefore identical to
+        # _final_score(augmented, ...)
+        from repro.serving.pipeline import fit_pipeline_from_training
+
+        pipeline, X_full, y_full = fit_pipeline_from_training(
+            target=target,
+            task=task,
+            base_table=score_base,
+            augmented_table=augmented,
+            kept_specs=selection.kept_specs,
+            repository=repository,
+            # always the selection forest: forests round-trip through the
+            # artifact bit-exactly, while an AutoML winner (which still drives
+            # the reported score below) can be any unserialisable model family
+            estimator=self._make_selection_estimator(task),
+            seed=config.random_state,
+            soft_strategy=config.soft_join,
+            time_resample=config.time_resample,
+            max_categories=config.max_categories,
+            batch_of_spec=dict(enumerate(selection.spec_batches)),
+            metadata={"dataset": dataset_name},
+        )
+        augmented_score = holdout_score(
+            X_full,
+            y_full,
+            task,
+            estimator=self._make_final_estimator(task),
+            test_size=config.test_size,
+            random_state=config.random_state,
+        )
+        return base_score, augmented_score, pipeline
 
     # -- helpers ----------------------------------------------------------------------
 
@@ -432,248 +483,11 @@ class ARDA:
             self._opened_repository_key = key
         return self._opened_repository
 
-    def _materialise_kept(
-        self,
-        base_table: Table,
-        repository: DataRepository | RepositorySnapshot,
-        kept_specs: list[tuple[JoinCandidate, list[int], list[str]]],
-        executor,
-    ) -> Table:
-        """Re-execute the kept joins on the full base table.
-
-        Delegates to :func:`repro.core.join_execution.replay_kept_joins` —
-        the same positional-match/pinned-name replay kernel serving uses
-        (see its docstring for why matching by position is required).
-        """
-        config = self.config
-        return replay_kept_joins(
-            base_table,
-            repository,
-            kept_specs,
-            soft_strategy=config.soft_join,
-            time_resample=config.time_resample,
-            rng=np.random.default_rng(config.random_state),
-            executor=executor,
-        )
-
-    def _build_coreset_streamed(self, source, target: str) -> Table:
-        """Coreset of an out-of-core base without materialising it.
-
-        The configured coreset builder runs on a two-column skeleton (target
-        plus a row-index column), so its sampling decisions — strategy,
-        stratification, RNG stream — are exactly the in-memory builder's; the
-        sampled row indices are then gathered from the chunk source with
-        :meth:`~repro.relational.persist.ChunkedTableReader.take`, which reads
-        only the chunks that hold sampled rows.  Peak memory is one full
-        column (the target) plus the gathered coreset.  ``"none"`` (or a
-        coreset at least as large as the base) has to materialise everything
-        — that is what the caller asked for.
-        """
-        config = self.config
-        size = config.coreset_size or default_coreset_size(source.num_rows)
-        if config.coreset_strategy == "none" or size >= source.num_rows:
-            return source.table()
-        row_name = unique_name("__arda_row__", set(source.column_names))
-        skeleton = Table(
-            [
-                source.column(target),
-                Column.from_array(
-                    row_name,
-                    np.arange(source.num_rows, dtype=np.float64),
-                    NUMERIC,
-                ),
-            ],
-            name=source.name,
-        )
-        builder = make_coreset_builder(
-            config.coreset_strategy, random_state=config.random_state
-        )
-        reduced = builder.reduce_table(skeleton, size, target=target)
-        indices = reduced.column(row_name).values.astype(np.int64)
-        return source.take(indices)
-
-    def _materialise_kept_streamed(
-        self,
-        source,
-        repository: DataRepository | RepositorySnapshot,
-        kept_specs: list[tuple[JoinCandidate, list[int], list[str]]],
-        executor,
-        augmented_path: str | Path | None,
-    ) -> tuple[Path | None, dict[str, StreamJoinStats]]:
-        """Stream the kept joins over every base chunk into ``augmented_path``.
-
-        Each kept hard join becomes one build-once
-        :class:`~repro.relational.join.StreamingHashJoin`; base chunks are
-        then consumed sequentially, each chunk's zone map is tested against
-        every build side (a chunk that cannot match gets that join's NULL
-        columns without probing), and the kept columns — matched by position
-        within the join's output, renamed to their pinned names, exactly as
-        :func:`~repro.core.join_execution.replay_kept_joins` does — are
-        appended to the chunk before it is written out through
-        :func:`~repro.relational.persist.write_table_stream`.  Concatenating
-        the output chunks equals the in-memory replay on ``source.table()``.
-
-        A kept *soft* join needs global nearest-neighbour context, so its
-        presence falls back to one in-memory replay of the whole base
-        (streamed back out afterwards); hard joins — the common case — keep
-        peak memory at one chunk plus the prepared build sides.  Every build
-        side is first projected to its keys plus the kept output columns
-        (dropped columns are never aggregated or decoded), and a projected
-        build that still exceeds ``config.memory_budget`` (or when
-        ``config.spill_partitions`` forces it) runs as a Grace spill join
-        (:func:`~repro.relational.join.iter_grace_left_join`) advanced in
-        chunk lockstep with the fused loop — identical output, peak heap
-        bounded by one partition.
-
-        Returns the written path (``None`` when no path was given) and
-        per-foreign-table pruning stats.
-        """
-        config = self.config
-        stats: dict[str, StreamJoinStats] = {}
-        if augmented_path is None:
-            return None, stats
-        augmented_path = Path(augmented_path)
-        if any(spec[0].is_soft for spec in kept_specs):
-            full = replay_kept_joins(
-                source.table(),
-                repository,
-                kept_specs,
-                soft_strategy=config.soft_join,
-                time_resample=config.time_resample,
-                rng=np.random.default_rng(config.random_state),
-                executor=executor,
-            )
-            write_table_stream(
-                augmented_path,
-                as_chunk_source(full, chunk_rows=config.chunk_rows).iter_chunks(),
-                name=source.name,
-                chunk_rows=config.chunk_rows,
-            )
-            return augmented_path, stats
-
-        schema = source.schema()
-        num_source_columns = len(schema.names)
-        # ("hash", joiner, ...) probes in the fused chunk loop below;
-        # ("grace", iterator, ...) is a build side too big for the memory
-        # budget, hash-partitioned to spill files and advanced in lockstep
-        # (iter_grace_left_join yields exactly one output table per source
-        # chunk, so the fused loop and the spill joins stay chunk-aligned)
-        joiners: list[tuple[str, object, list[int], list[str], str]] = []
-        force_spill = (
-            config.spill_partitions is not None and config.spill_partitions > 1
-        )
-        for candidate, positions, names in kept_specs:
-            foreign = repository.get(candidate.foreign_table)
-            foreign = foreign.prefix_columns(
-                f"{foreign.name}.", exclude=candidate.foreign_columns
-            )
-            key_pairs = candidate.key_pairs()
-            right_keys = [pair[1] for pair in key_pairs]
-            # project the build side to keys + kept output columns: columns
-            # the selector dropped are never aggregated, hashed, or decoded
-            pairs_full = _output_names(foreign, right_keys, schema.names, "_r")
-            kept_right = [pairs_full[position][0] for position in positions]
-            needed = list(dict.fromkeys(list(right_keys) + kept_right))
-            projected = foreign.select(needed)
-            table_stats = stats.setdefault(candidate.foreign_table, StreamJoinStats())
-            build_bytes = estimate_source_nbytes(as_chunk_source(projected))
-            if force_spill or (
-                config.memory_budget is not None
-                and build_bytes > config.memory_budget
-            ):
-                grace = iter_grace_left_join(
-                    source,
-                    as_chunk_source(projected, chunk_rows=config.chunk_rows),
-                    on=key_pairs,
-                    num_partitions=config.spill_partitions,
-                    memory_budget=config.memory_budget,
-                    spill_dir=config.spill_dir,
-                    stats=table_stats,
-                )
-                # kept columns by position inside the grace output chunk:
-                # source columns first, then the projected build's outputs
-                pairs_projected = _output_names(
-                    projected, right_keys, schema.names, "_r"
-                )
-                projected_order = [pair[0] for pair in pairs_projected]
-                grace_positions = [
-                    num_source_columns + projected_order.index(right_name)
-                    for right_name in kept_right
-                ]
-                joiners.append(
-                    ("grace", grace, grace_positions, names, candidate.foreign_table)
-                )
-                continue
-            joiner = StreamingHashJoin(projected, key_pairs, schema)
-            # positions within the projected joiner's output: its non-key
-            # columns are exactly kept_right, in first-appearance order
-            output_order = [pair[0] for pair in joiner.output]
-            hash_positions = [
-                output_order.index(right_name) for right_name in kept_right
-            ]
-            joiners.append(
-                ("hash", joiner, hash_positions, names, candidate.foreign_table)
-            )
-            table_stats.chunks_total += source.num_chunks
-            table_stats.rows_total += source.num_rows
-
-        def augmented_chunks():
-            for index in range(source.num_chunks):
-                chunk = source.chunk(index)
-                zones = source.zones(index)
-                columns = list(chunk.columns())
-                for kind, engine, positions, names, foreign_name in joiners:
-                    if kind == "grace":
-                        out_chunk = next(engine)
-                        out_columns = out_chunk.columns()
-                        for position, name in zip(positions, names):
-                            columns.append(out_columns[position].rename(name))
-                        continue
-                    joiner = engine
-                    dictionaries = {
-                        key: source.dictionary(key)
-                        for key in joiner.left_keys
-                        if schema.type_of(key) is CATEGORICAL
-                    }
-                    table_stats = stats[foreign_name]
-                    if not joiner.chunk_may_match(zones, dictionaries):
-                        gathered = joiner.null_columns(chunk.num_rows)
-                    else:
-                        match_index = joiner.probe_chunk(chunk)
-                        table_stats.chunks_probed += 1
-                        table_stats.rows_probed += chunk.num_rows
-                        table_stats.rows_matched += int((match_index >= 0).sum())
-                        gathered = joiner.gather(match_index)
-                    for position, name in zip(positions, names):
-                        columns.append(gathered[position].rename(name))
-                yield Table(columns, name=source.name)
-
-        write_table_stream(
-            augmented_path,
-            augmented_chunks(),
-            name=source.name,
-            chunk_rows=config.chunk_rows,
-        )
-        return augmented_path, stats
-
-    def _build_coreset(self, base_table: Table, target: str) -> Table:
-        config = self.config
-        if config.coreset_strategy == "none":
-            return base_table
-        size = config.coreset_size or default_coreset_size(base_table.num_rows)
-        if size >= base_table.num_rows:
-            return base_table
-        builder = make_coreset_builder(
-            config.coreset_strategy, random_state=config.random_state
-        )
-        return builder.reduce_table(base_table, size, target=target)
-
     def _selector_options(self) -> dict:
         """Selector kwargs from config; RIFS inherits the engine-level knobs.
 
-        Explicit ``selector_options`` always win; the executor kind is shared
-        with the join engine and ``selection_n_jobs`` (falling back to
-        ``n_jobs``) sizes the round fan-out.
+        Explicit ``selector_options`` always win; the executor kind and
+        ``n_jobs`` are shared with the join engine and size the round fan-out.
         """
         config = self.config
         options = dict(config.selector_options)
@@ -686,12 +500,7 @@ class ARDA:
             options.setdefault("max_bins", config.max_bins)
         if key == "rifs":
             options.setdefault("executor", config.executor)
-            options.setdefault(
-                "n_jobs",
-                config.selection_n_jobs
-                if config.selection_n_jobs is not None
-                else config.n_jobs,
-            )
+            options.setdefault("n_jobs", config.n_jobs)
         return options
 
     def _make_selection_estimator(self, task: str):
@@ -705,18 +514,6 @@ class ARDA:
             tree_method=self.config.tree_method,
             max_bins=self.config.max_bins,
         )
-
-    def _make_serving_estimator(self, task: str):
-        """The estimator serialised into the captured serving pipeline.
-
-        Always a random forest (the paper's estimator): forests round-trip
-        through the binary artifact bit-exactly via
-        :mod:`repro.ml.persistence`.  With ``estimator="automl"`` the AutoML
-        search still produces the *reported* scores, but the artifact carries
-        the forest — AutoML's winner can be any model family, which would
-        make artifacts unserialisable in the general case.
-        """
-        return self._make_selection_estimator(task)
 
     def _make_final_estimator(self, task: str):
         """The final estimator used for the reported scores."""

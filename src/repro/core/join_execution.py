@@ -12,13 +12,21 @@ Execution handles everything section 4 of the paper describes:
 
 from __future__ import annotations
 
+from pathlib import Path
+from typing import Iterator
+
 import numpy as np
 
 from repro.core.executor import JoinExecutor, SerialJoinExecutor, longest_first_order
 from repro.discovery.candidates import JoinCandidate
 from repro.discovery.repository import DataRepository
 from repro.relational.column import Column
-from repro.relational.join import left_join
+from repro.relational.join import (
+    StreamJoinStats,
+    as_chunk_source,
+    iter_streaming_left_join,
+    left_join,
+)
 from repro.relational.resample import align_time_granularity
 from repro.relational.schema import DATETIME
 from repro.relational.soft_join import nearest_join, two_way_nearest_join
@@ -160,6 +168,86 @@ def replay_kept_joins(
         for position, name in zip(positions, names):
             out_columns.append(joined.column(added[position]).rename(name))
     return Table(out_columns, name=base.name)
+
+
+def iter_replay_kept_joins(
+    source,
+    repository: DataRepository,
+    specs: list[tuple[JoinCandidate, list[int], list[str]]],
+    soft_strategy: str = "two_way_nearest",
+    time_resample: bool = True,
+    rng: np.random.Generator | None = None,
+    executor: JoinExecutor | None = None,
+    chunk_rows: int | None = None,
+    memory_budget: int | None = None,
+    spill_partitions: int | None = None,
+    spill_dir: str | Path | None = None,
+    stats: dict[str, StreamJoinStats] | None = None,
+) -> Iterator[Table]:
+    """:func:`replay_kept_joins` over a chunk source, one output chunk at a time.
+
+    Each kept hard join runs as its own
+    :func:`~repro.relational.join.iter_streaming_left_join` over the base
+    chunks — zone-map pruning, the sort-order window and the Grace spill
+    switch (``memory_budget`` / ``spill_partitions``) included — against a
+    build side projected to its keys plus the kept columns, so dropped
+    columns are never aggregated or decoded.  The kept columns are
+    the last ones of each join's output chunk; they are renamed to their
+    pinned names and appended to the base chunk.  Concatenating the yielded
+    chunks equals ``replay_kept_joins(source.table(), ...)``, and peak memory
+    stays at one chunk per kept join plus the build sides.
+
+    An in-memory :class:`Table` source is sliced into ``chunk_rows`` chunks.
+    A kept *soft* join needs global nearest-neighbour context, so its
+    presence replays the whole base in memory (with ``rng``/``executor``) and
+    re-slices the result the same way.  ``stats`` collects the streaming
+    joins' accounting per foreign table.
+    """
+    source = as_chunk_source(source, chunk_rows=chunk_rows)
+    if any(spec[0].is_soft for spec in specs):
+        full = replay_kept_joins(
+            source.table(),
+            repository,
+            specs,
+            soft_strategy=soft_strategy,
+            time_resample=time_resample,
+            rng=rng,
+            executor=executor,
+        )
+        yield from as_chunk_source(full, chunk_rows=chunk_rows).iter_chunks()
+        return
+    stats = {} if stats is None else stats
+    width = len(source.column_names)
+    streams = []
+    try:
+        for candidate, positions, names in specs:
+            foreign = repository.get(candidate.foreign_table)
+            foreign = foreign.prefix_columns(
+                f"{foreign.name}.", exclude=candidate.foreign_columns
+            )
+            right_keys = candidate.foreign_columns
+            features = [name for name in foreign.column_names if name not in right_keys]
+            kept = [features[position] for position in positions]
+            build = foreign.select(list(dict.fromkeys([*right_keys, *kept])))
+            stream = iter_streaming_left_join(
+                source,
+                build,
+                candidate.key_pairs(),
+                memory_budget=memory_budget,
+                stats=stats.setdefault(candidate.foreign_table, StreamJoinStats()),
+                spill_partitions=spill_partitions,
+                spill_dir=spill_dir,
+            )
+            streams.append((stream, names))
+        for chunk, *joined in zip(source.iter_chunks(), *(s for s, _ in streams)):
+            columns = list(chunk.columns())
+            for part, (_stream, names) in zip(joined, streams):
+                added = part.columns()[width:]
+                columns.extend(col.rename(name) for col, name in zip(added, names))
+            yield Table(columns, name=source.name)
+    finally:
+        for stream, _names in streams:
+            stream.close()
 
 
 def join_candidates(

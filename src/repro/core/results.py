@@ -60,10 +60,10 @@ class AugmentationReport:
     fit_time: float = 0.0
     executor: str = "serial"
     pipeline: "FittedPipeline | None" = None
-    # out-of-core runs only: where the full augmented table was streamed to
-    # (a chunked .tbl file), and per-foreign-table streaming-join accounting
-    # (chunks probed vs pruned).  ``augmented_table`` then holds the coreset
-    # materialisation, and the scores are coreset-level.
+    # runs given an ``augmented_path``: where the full augmented table was
+    # streamed to, and per-foreign-table streaming-join accounting (chunks
+    # probed vs pruned).  For a chunked base ``augmented_table`` holds the
+    # coreset materialisation, and the scores are coreset-level.
     augmented_path: Path | None = None
     stream_stats: "dict[str, StreamJoinStats] | None" = None
 

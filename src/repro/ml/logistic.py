@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import numpy as np
-from scipy import optimize
 
 from repro.ml.base import BaseEstimator, ClassifierMixin, check_array, check_X_y
 
@@ -32,6 +31,8 @@ class LogisticRegression(BaseEstimator, ClassifierMixin):
 
     def fit(self, X, y) -> "LogisticRegression":
         """Maximise the L2-penalised multinomial log-likelihood."""
+        from scipy import optimize  # lazy: keeps scipy out of `import repro`
+
         X, y = check_X_y(X, y)
         # standardise internally for optimisation stability
         mean = X.mean(axis=0)

@@ -11,7 +11,6 @@ dependency-free stand-in.
 from __future__ import annotations
 
 import numpy as np
-from scipy import optimize
 
 from repro.ml.base import BaseEstimator, ClassifierMixin, check_array, check_X_y
 
@@ -52,6 +51,8 @@ class LinearSVC(BaseEstimator, ClassifierMixin):
         return self
 
     def _fit_binary(self, X: np.ndarray, signs: np.ndarray) -> tuple[np.ndarray, float]:
+        from scipy import optimize  # lazy: keeps scipy out of `import repro`
+
         n, d = X.shape
         reg = 1.0 / (self.C * n)
 

@@ -4,9 +4,9 @@ Only LEFT joins are implemented because they are the only join type suitable
 for data augmentation: every base-table row (training example) is preserved and
 unmatched rows get NULLs, which are later imputed (paper section 4, "Joins").
 
-Besides the whole-table :func:`left_join`, this module provides the
-out-of-core path: :class:`StreamingHashJoin` prepares the (small) build side
-once — pre-aggregation, output naming, per-key value ranges — and probes the
+:class:`StreamingHashJoin` is the one hard-join kernel (:func:`left_join` is
+its one-chunk case).  It prepares the (small) build side once —
+pre-aggregation, output naming, per-key value ranges — and probes the
 (large) base table one row group at a time through a
 :class:`~repro.relational.persist.ChunkedTableReader`.  Chunks whose zone map
 cannot intersect the build side's key range are **pruned**: their probe and
@@ -38,6 +38,7 @@ import shutil
 import tempfile
 import threading
 from dataclasses import dataclass, field
+from functools import cached_property
 from hashlib import blake2b
 from pathlib import Path
 from queue import Queue
@@ -48,7 +49,7 @@ import numpy as np
 from repro.relational.aggregate import group_by_aggregate, is_unique_on
 from repro.relational.column import Column, remap_dictionary
 from repro.relational.schema import CATEGORICAL, NUMERIC, Schema
-from repro.relational.table import Table, unique_name
+from repro.relational.table import Table, concat_tables, unique_name
 
 
 def _key_tuple(columns: Sequence[Column], index: int) -> tuple:
@@ -203,29 +204,18 @@ def left_join(
 
     The right key columns themselves are not copied into the output (the left
     key already carries that information).  Other right columns that clash
-    with left column names get ``suffix`` appended.
+    with left column names get ``suffix`` appended.  This is the whole table
+    as one chunk of :class:`StreamingHashJoin`.
     """
-    if not on:
-        raise ValueError("left_join requires at least one key pair")
-    left_keys = [pair[0] for pair in on]
-    right_keys = [pair[1] for pair in on]
-    for key in left_keys:
-        left.column(key)
-    right = _prepare_right(
-        right, right_keys, aggregate_duplicates, numeric_agg, categorical_agg
-    )
-
-    right_key_columns = [right.column(k) for k in right_keys]
-    left_key_columns = [left.column(k) for k in left_keys]
-    match_index = _match_first_occurrence(left_key_columns, right_key_columns)
-    matched = match_index >= 0
-
-    out_columns = list(left.columns())
-    for right_name, out_name in _output_names(right, right_keys, left.column_names, suffix):
-        out_columns.append(
-            _gather_right_column(right.column(right_name), out_name, match_index, matched)
-        )
-    return Table(out_columns, name=left.name)
+    return StreamingHashJoin(
+        right,
+        on,
+        left.schema(),
+        suffix=suffix,
+        aggregate_duplicates=aggregate_duplicates,
+        numeric_agg=numeric_agg,
+        categorical_agg=categorical_agg,
+    ).join_chunk(left)
 
 
 def _prepare_right(
@@ -619,9 +609,9 @@ class StreamingHashJoin:
     """Build-once probe-many LEFT join against one prepared right table.
 
     The constructor does all the per-join work that must happen exactly once:
-    right-side validation and pre-aggregation, output-column naming against
-    the left schema (identical to :func:`left_join`'s assignment), and the
-    build side's per-key value ranges used for zone-map pruning.  Each
+    right-side validation and pre-aggregation and output-column naming
+    against the left schema; the build side's per-key value ranges used for
+    zone-map pruning are computed on first use.  Each
     :meth:`probe_chunk` / :meth:`join_chunk` call then handles one base chunk
     independently — the object is picklable, so chunks can fan out across
     process pools with the build side shipped once per worker.
@@ -656,24 +646,20 @@ class StreamingHashJoin:
         self.output = _output_names(
             self.right, self.right_keys, self.left_schema.names, self.suffix
         )
-        # build-side key ranges for zone pruning: numeric keys keep (min, max)
-        # over valid values; categorical keys keep their distinct strings (a
-        # chunk's code zone is translated through the base dictionary at prune
-        # time).  An empty range means no base row can ever match.
-        self.pruner = KeyRangePruner(
+
+    @cached_property
+    def pruner(self) -> KeyRangePruner:
+        """Zone-map pruner over the build side's key ranges.
+
+        Numeric keys keep (min, max) over valid values; categorical keys keep
+        their distinct strings (a chunk's code zone is translated through the
+        base dictionary at prune time).  An empty range means no base row can
+        ever match.  Built on first use, so a one-chunk :func:`left_join`
+        never pays for it.
+        """
+        return KeyRangePruner(
             self.on, self.left_schema, build_key_ranges(self.right_key_columns)
         )
-
-    @property
-    def output_names(self) -> list[str]:
-        """Names of the augmented columns this join adds, in output order."""
-        return [name for _right_name, name in self.output]
-
-    # -- zone pruning ----------------------------------------------------------
-
-    def chunk_may_match(self, zones, dictionaries) -> bool:
-        """See :meth:`KeyRangePruner.chunk_may_match` (delegated)."""
-        return self.pruner.chunk_may_match(zones, dictionaries)
 
     # -- per-chunk kernels -----------------------------------------------------
 
@@ -700,12 +686,9 @@ class StreamingHashJoin:
         match_index = np.full(num_rows, -1, dtype=np.int64)
         return self.gather(match_index)
 
-    def join_chunk(self, chunk: Table, pruned: bool = False) -> Table:
+    def join_chunk(self, chunk: Table) -> Table:
         """One chunk's slice of the full LEFT-join output."""
-        if pruned:
-            gathered = self.null_columns(chunk.num_rows)
-        else:
-            gathered = self.gather(self.probe_chunk(chunk))
+        gathered = self.gather(self.probe_chunk(chunk))
         return Table(list(chunk.columns()) + gathered, name=chunk.name)
 
 
@@ -928,15 +911,7 @@ def streaming_left_join(
             spill_dir=spill_dir,
         )
     )
-    if len(parts) == 1:
-        return parts[0], stats
-    from repro.relational.column import concat_columns
-
-    columns = [
-        concat_columns([part.column(name) for part in parts])
-        for name in parts[0].column_names
-    ]
-    return Table(columns, name=parts[0].name), stats
+    return concat_tables(parts), stats
 
 
 # -- Grace-partitioned spill join ---------------------------------------------
@@ -1484,15 +1459,7 @@ def grace_left_join(
             stats=stats,
         )
     )
-    if len(parts) == 1:
-        return parts[0], stats
-    from repro.relational.column import concat_columns
-
-    columns = [
-        concat_columns([part.column(name) for part in parts])
-        for name in parts[0].column_names
-    ]
-    return Table(columns, name=parts[0].name), stats
+    return concat_tables(parts), stats
 
 
 def streaming_match_fraction(

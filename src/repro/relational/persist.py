@@ -70,9 +70,9 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from repro import observability
-from repro.relational.column import Column, concat_columns, remap_dictionary
+from repro.relational.column import Column, remap_dictionary
 from repro.relational.schema import CATEGORICAL, ColumnSpec, ColumnType, Schema
-from repro.relational.table import Table
+from repro.relational.table import Table, concat_tables
 
 MAGIC = b"RPROTBLF"
 FORMAT_VERSION = 1
@@ -1479,7 +1479,7 @@ def _rebatch(chunks, target: int) -> Iterator[Table]:
         pending.append(part)
         pending_rows += part.num_rows
         while pending_rows >= target:
-            merged = _concat_parts(pending)
+            merged = concat_tables(pending)
             yield merged.take(np.arange(target)) if merged.num_rows > target else merged
             if merged.num_rows > target:
                 rest = merged.take(np.arange(target, merged.num_rows))
@@ -1489,14 +1489,4 @@ def _rebatch(chunks, target: int) -> Iterator[Table]:
                 pending = []
                 pending_rows = 0
     if pending:
-        yield _concat_parts(pending)
-
-
-def _concat_parts(parts: list[Table]) -> Table:
-    if len(parts) == 1:
-        return parts[0]
-    columns = [
-        concat_columns([part.column(name) for part in parts])
-        for name in parts[0].column_names
-    ]
-    return Table(columns, name=parts[0].name)
+        yield concat_tables(pending)

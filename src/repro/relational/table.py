@@ -264,11 +264,7 @@ class Table:
         """Vertically stack another table with the same schema."""
         if self.column_names != other.column_names:
             raise ValueError("cannot concat tables with different columns")
-        columns = [
-            concat_columns([self.column(n), other.column(n)])
-            for n in self.column_names
-        ]
-        return Table(columns, name=self.name)
+        return concat_tables([self, other])
 
     def hstack(self, other: "Table", suffix: str = "_r") -> "Table":
         """Horizontally stack another table with the same number of rows.
@@ -334,3 +330,17 @@ class Table:
     def copy(self) -> "Table":
         """Deep copy of the table."""
         return Table([col.copy() for col in self.columns()], name=self.name)
+
+
+def concat_tables(parts: Sequence[Table]) -> Table:
+    """Vertically stack same-schema tables under the first one's name.
+
+    A single part is returned as is (no copy).
+    """
+    if len(parts) == 1:
+        return parts[0]
+    columns = [
+        concat_columns([part.column(name) for part in parts])
+        for name in parts[0].column_names
+    ]
+    return Table(columns, name=parts[0].name)

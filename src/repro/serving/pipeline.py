@@ -187,7 +187,7 @@ class FittedPipeline:
         return [name for name in self.base_columns if name != self.target]
 
     def summary(self) -> dict:
-        """Compact description used by ``python -m repro.serve inspect``."""
+        """Compact description used by ``python -m repro inspect``."""
         return {
             "target": self.target,
             "task": self.task,

@@ -129,6 +129,9 @@ class _Handler(BaseHTTPRequestHandler):
 
     protocol_version = "HTTP/1.1"
     server_version = "repro-serve"
+    # headers and body go out in two writes; without TCP_NODELAY a keep-alive
+    # request sent right after a response waits out the client's delayed ACK
+    disable_nagle_algorithm = True
 
     def log_message(self, format, *args):  # noqa: A002 - stdlib signature
         pass  # request logging is the metrics registry's job

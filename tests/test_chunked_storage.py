@@ -6,7 +6,7 @@ fingerprint, version-1 bit-compatibility when one chunk suffices), a
 zone-map-pruned streaming join is *result-equivalent* to the in-memory join
 (pruned ≡ unpruned ≡ ``left_join``), and chunk-wise profiling/binning produce
 the same artifacts as their whole-table counterparts.  Around them sit the
-operational pieces: per-kind ``bytes_read`` accounting, the ``repro.repo``
+operational pieces: per-kind ``bytes_read`` accounting, the ``repro repo``
 maintenance CLI, atomic ``rechunk``, and a tracemalloc-bounded end-to-end
 ``augment`` + ``predict`` over a base table several times the memory budget.
 """
@@ -18,8 +18,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import repro.repo as repo_cli
 from repro import ARDA, ARDAConfig
+from repro.cli import main as cli_main
 from repro.discovery.profiles import profile_table, profile_table_chunks
 from repro.discovery.repository import DataRepository
 from repro.ml.binning import BinnedMatrix
@@ -537,11 +537,11 @@ class TestRechunkAndCli:
 
     def test_cli_stat_reports_layout_from_headers(self, tmp_path, capsys):
         self._repo(tmp_path)
-        assert repo_cli.main(["stat", str(tmp_path)]) == 0
+        assert cli_main(["repo", "stat", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "orders" in out and "v2" in out and "8" in out
         reset_bytes_read()
-        assert repo_cli.main(["stat", str(tmp_path), "--json"]) == 0
+        assert cli_main(["repo", "stat", str(tmp_path), "--json"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["tables"][0]["chunks"] == 8
         assert doc["tables"][0]["zone_coverage"] == 1.0
@@ -549,17 +549,17 @@ class TestRechunkAndCli:
 
     def test_cli_rechunk_rewrites_layout(self, tmp_path, capsys):
         self._repo(tmp_path)
-        assert repo_cli.main(["rechunk", str(tmp_path), "orders", "--chunk-rows", "2000"]) == 0
+        assert cli_main(["repo", "rechunk", str(tmp_path), "orders", "--chunk-rows", "2000"]) == 0
         assert "8 -> 2 chunks" in capsys.readouterr().out
-        assert repo_cli.main(["rechunk", str(tmp_path), "--all", "--chunk-rows", "0"]) == 0
+        assert cli_main(["repo", "rechunk", str(tmp_path), "--all", "--chunk-rows", "0"]) == 0
         capsys.readouterr()
         assert DataRepository.open(tmp_path).header("orders").chunks is None
 
     def test_cli_error_paths(self, tmp_path, capsys):
         self._repo(tmp_path)
-        assert repo_cli.main(["rechunk", str(tmp_path), "missing"]) == 1
-        assert repo_cli.main(["rechunk", str(tmp_path)]) == 2
-        assert repo_cli.main(["stat", str(tmp_path / "nope")]) == 1
+        assert cli_main(["repo", "rechunk", str(tmp_path), "missing"]) == 1
+        assert cli_main(["repo", "rechunk", str(tmp_path)]) == 2
+        assert cli_main(["repo", "stat", str(tmp_path / "nope")]) == 1
         capsys.readouterr()
 
 
@@ -682,3 +682,135 @@ class TestOutOfCoreAugment:
         assert out_of_core_run["streamed"].stream_stats  # took the streamed path
         assert out_of_core_run["base_bytes"] >= 4 * out_of_core_run["memory_budget"]
         assert out_of_core_run["peak"] < 2 * out_of_core_run["base_bytes"]
+
+
+class TestStreamedOutputPerJoinKind:
+    """The streamed ``augmented_path`` file of an out-of-core run equals the
+    kept joins replayed on the full base, whichever join engine produced it."""
+
+    N_ROWS, CHUNK_ROWS, N_CUSTOMERS = 3000, 400, 200
+
+    def _lake(self):
+        rng = np.random.default_rng(11)
+        n = self.N_ROWS
+        cust = rng.integers(0, self.N_CUSTOMERS, n).astype(float)
+        ts = np.round(rng.uniform(0, 100, n), 3)
+        base = Table.from_dict(
+            {
+                "cust_id": cust,
+                "ts": ts,
+                "x1": np.round(rng.normal(size=n), 2),
+                "y": cust % 7 + np.floor(ts / 10) + rng.normal(scale=0.1, size=n),
+            },
+            types={name: NUMERIC for name in ("cust_id", "ts", "x1", "y")},
+            name="base",
+        )
+        # only the first 150 customers have a profile, so a base sorted on
+        # cust_id has trailing chunks that zone maps prove unmatched
+        known = np.arange(150, dtype=float)
+        custinfo = Table.from_dict(
+            {
+                "cust_id": known,
+                "score": known % 7,
+                "region": [f"r{int(i) % 5}" for i in known],
+            },
+            types={"cust_id": NUMERIC, "score": NUMERIC, "region": CATEGORICAL},
+            name="custinfo",
+        )
+        grid = np.arange(0, 100, 0.5)
+        weather = Table.from_dict(
+            {"ts": grid, "temp": np.floor(grid / 10)},
+            types={"ts": NUMERIC, "temp": NUMERIC},
+            name="weather",
+        )
+        return base, DataRepository([custinfo, weather])
+
+    @pytest.mark.parametrize("kind", ["hash", "grace", "sorted", "soft"])
+    def test_streamed_file_equals_full_replay(self, tmp_path, kind):
+        from repro.core.join_execution import replay_kept_joins
+        from repro.discovery.candidates import JoinCandidate, KeyPair
+
+        base, repository = self._lake()
+        candidates = [JoinCandidate("custinfo", [KeyPair("cust_id", "cust_id")])]
+        options = {}
+        if kind == "grace":
+            options["spill_partitions"] = 3
+        if kind == "soft":
+            candidates.append(JoinCandidate("weather", [KeyPair("ts", "ts", soft=True)]))
+            options["soft_join"] = "nearest"
+        base_path = tmp_path / "base.tbl"
+        if kind == "sorted":
+            base = base.take(np.argsort(base.column("cust_id").values, kind="stable"))
+            write_table_stream(
+                base_path, [base], chunk_rows=self.CHUNK_ROWS, sort_by="cust_id"
+            )
+        else:
+            write_table(base, base_path, chunk_rows=self.CHUNK_ROWS)
+        reader = open_chunks(base_path)
+        assert reader.num_chunks == -(-self.N_ROWS // self.CHUNK_ROWS)
+        config = ARDAConfig(
+            coreset_size=600,
+            random_state=0,
+            chunk_rows=self.CHUNK_ROWS,
+            selector="f-test",
+            estimator_options={"n_estimators": 5},
+            **options,
+        )
+        out_path = tmp_path / "augmented.tbl"
+        report = ARDA(config).augment_tables(
+            reader, repository, "y", candidates=candidates, augmented_path=out_path
+        )
+        assert report.augmented_path == out_path
+        assert "custinfo" in report.kept_tables
+        if kind == "soft":
+            assert "weather" in report.kept_tables
+
+        specs = [
+            (step.to_candidate(), step.positions, step.column_names)
+            for step in report.pipeline.joins
+        ]
+        expected = replay_kept_joins(
+            base,
+            repository,
+            specs,
+            soft_strategy=config.soft_join,
+            time_resample=config.time_resample,
+            rng=np.random.default_rng(config.random_state),
+        )
+        assert_tables_equal(open_chunks(out_path).table(), expected)
+
+        stats = report.stream_stats
+        hard_tables = [c.foreign_table for c, _, _ in specs if not c.is_soft]
+        if kind != "soft":
+            assert set(stats) == set(hard_tables)
+        for table_stats in stats.values():
+            assert table_stats.chunks_total == reader.num_chunks
+            assert table_stats.rows_total == self.N_ROWS
+            assert table_stats.chunks_probed <= table_stats.chunks_total
+        if kind == "grace":
+            assert stats["custinfo"].spill_partitions == 3
+        if kind == "sorted":
+            assert stats["custinfo"].chunks_probed < reader.num_chunks
+
+    def test_table_base_honours_augmented_path(self, tmp_path):
+        from repro.discovery.candidates import JoinCandidate, KeyPair
+
+        base, repository = self._lake()
+        candidates = [JoinCandidate("custinfo", [KeyPair("cust_id", "cust_id")])]
+        config = ARDAConfig(
+            coreset_size=600,
+            random_state=0,
+            chunk_rows=self.CHUNK_ROWS,
+            selector="f-test",
+            estimator_options={"n_estimators": 5},
+        )
+        out_path = tmp_path / "augmented.tbl"
+        report = ARDA(config).augment_tables(
+            base, repository, "y", candidates=candidates, augmented_path=out_path
+        )
+        assert report.augmented_path == out_path
+        assert "custinfo" in report.kept_tables
+        # an in-memory base is materialised and scored in full
+        assert report.augmented_table.num_rows == self.N_ROWS
+        assert_tables_equal(open_chunks(out_path).table(), report.augmented_table)
+        assert report.stream_stats["custinfo"].rows_total == self.N_ROWS

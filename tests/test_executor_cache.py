@@ -328,8 +328,8 @@ class TestFinalMaterialisation:
         # during the batch loop this candidate's second column collided with a
         # carried column and was kept under the suffixed name "t.x_r"
         kept_specs = [(candidate, [1], ["t.x_r"])]
-        out = ARDA(ARDAConfig())._materialise_kept(
-            base, repo, kept_specs, SerialJoinExecutor()
+        out, _path, _stats = ARDA(ARDAConfig())._materialise(
+            base, base, repo, kept_specs, SerialJoinExecutor(), augmented_path=None
         )
         assert out.column_names == ["entity_id", "target", "t.x_r"]
         # joined via key2: base entity 0 matches the t row whose key2 is 0 -> x=40

@@ -1,5 +1,10 @@
 """Tests for the ML substrate: trees, forests, linear models, SVMs, kNN, sparse regression."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,6 +29,14 @@ from repro.ml import (
 )
 from repro.ml.base import check_X_y, clone, is_classifier
 from repro.ml.sparse_regression import l21_norm, one_hot_labels
+
+
+def test_import_repro_leaves_scipy_optimize_unloaded():
+    # scipy.optimize is imported inside the fitting functions that need it;
+    # loading it eagerly made up about half of `import repro`
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    code = "import repro, sys; assert 'scipy.optimize' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], check=True, env=dict(os.environ, PYTHONPATH=src))
 
 
 class TestBase:

@@ -1,7 +1,7 @@
 """Docs gate: link-check, API-coverage check and README snippet runner.
 
 Run from the repository root (CI's ``docs`` job, or locally with
-``PYTHONPATH=src python tools/check_docs.py``).  Three checks, all of which
+``PYTHONPATH=src python tools/check_docs.py``).  Four checks, all of which
 must pass:
 
 1. **Links** — every markdown link in ``README.md``, ``docs/*.md`` and
@@ -13,7 +13,11 @@ must pass:
    ``selection``, ``serving``, ``observability``, ``datasets`` and
    ``datasets.sqlgen``) appears in ``docs/API.md`` as a backticked code
    token, so the reference cannot silently fall behind the code.
-3. **README snippets** — every fenced ```` ```python ```` block in
+3. **Config tables** — every field of the ``ARDAConfig``, ``ServingConfig``
+   and ``SweepConfig`` dataclasses has a row in its ``docs/API.md`` knob
+   table (the ``## …(`ClassName`)`` section), and every row names a live
+   field, so rows for removed knobs cannot linger.
+4. **README snippets** — every fenced ```` ```python ```` block in
    ``README.md`` is executed verbatim, in order, in one shared namespace
    inside a temporary working directory.  The quickstart cannot rot.
 """
@@ -42,7 +46,11 @@ SUBSYSTEMS = [
     "repro.datasets.sqlgen",
 ]
 
+CONFIG_CLASSES = ["ARDAConfig", "ServingConfig", "SweepConfig"]
+
 _LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
+# a knob row's first cell: "`name` (`default`)", several joined by " / "
+_KNOB_RE = re.compile(r"`(\w+)` \(")
 _HEADING_RE = re.compile(r"^(#{1,6})\s+(.*)$")
 
 
@@ -138,6 +146,42 @@ def check_api_coverage() -> list[str]:
     return failures
 
 
+def config_table_rows(content: str) -> dict[str, set[str]]:
+    """Field names documented per config class, from its ``##`` knob table."""
+    rows: dict[str, set[str]] = {}
+    current: set[str] | None = None
+    for line in content.splitlines():
+        if line.startswith("## "):
+            owners = [name for name in CONFIG_CLASSES if f"(`{name}`)" in line]
+            current = rows.setdefault(owners[0], set()) if owners else None
+        elif current is not None and line.startswith("| `"):
+            current.update(_KNOB_RE.findall(line.split("|")[1]))
+    return rows
+
+
+def check_config_tables() -> list[str]:
+    """Every config dataclass field has a knob row, and every row a field."""
+    import dataclasses
+
+    import repro.core.config as config_module
+
+    if not API_REFERENCE.exists():
+        return [f"{API_REFERENCE.relative_to(ROOT)} is missing"]
+    documented = config_table_rows(API_REFERENCE.read_text(encoding="utf-8"))
+    failures: list[str] = []
+    for name in CONFIG_CLASSES:
+        fields = {f.name for f in dataclasses.fields(getattr(config_module, name))}
+        rows = documented.get(name)
+        if rows is None:
+            failures.append(f"docs/API.md has no knob table for {name}")
+            continue
+        for field in sorted(fields - rows):
+            failures.append(f"docs/API.md: {name}.{field} has no knob row")
+        for field in sorted(rows - fields):
+            failures.append(f"docs/API.md: knob row `{field}` is not a field of {name}")
+    return failures
+
+
 def run_readme_snippets() -> list[str]:
     """Execute every ```python block of README.md in one shared namespace."""
     readme = ROOT / "README.md"
@@ -183,6 +227,8 @@ def main() -> int:
     failures += check_links()
     print("checking docs/API.md coverage of subsystem exports ...")
     failures += check_api_coverage()
+    print("checking docs/API.md config tables against the config dataclasses ...")
+    failures += check_config_tables()
     print("running README.md python snippets ...")
     failures += run_readme_snippets()
     if failures:
@@ -190,7 +236,10 @@ def main() -> int:
         for failure in failures:
             print(f"  - {failure}")
         return 1
-    print("docs ok: links resolve, API reference covers all exports, snippets run")
+    print(
+        "docs ok: links resolve, API reference covers all exports and config "
+        "fields, snippets run"
+    )
     return 0
 
 
