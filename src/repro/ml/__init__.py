@@ -28,7 +28,7 @@ from repro.ml.model_selection import (
 )
 from repro.ml.binning import BinnedMatrix, resolve_tree_method
 from repro.ml.preprocessing import LabelEncoder, MinMaxScaler, StandardScaler
-from repro.ml.tree import DecisionTreeClassifier, DecisionTreeRegressor
+from repro.ml.tree import DecisionTreeClassifier, DecisionTreeRegressor, grow_trees
 from repro.ml.forest import RandomForestClassifier, RandomForestRegressor
 from repro.ml.linear import ElasticNet, Lasso, LinearRegression, Ridge
 from repro.ml.logistic import LogisticRegression
@@ -63,6 +63,7 @@ __all__ = [
     "resolve_tree_method",
     "DecisionTreeClassifier",
     "DecisionTreeRegressor",
+    "grow_trees",
     "RandomForestClassifier",
     "RandomForestRegressor",
     "LinearRegression",

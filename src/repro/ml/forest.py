@@ -6,13 +6,14 @@ importances) one half of the RIFS ranking ensemble.
 
 The forest quantises the training matrix **once** (``tree_method="hist"``) and
 every tree trains on the shared :class:`~repro.ml.binning.BinnedMatrix`;
-bootstrap resamples are index draws into it, never matrix copies.  Tree fits
-are independent, so they fan out over the same pluggable
-:class:`~repro.core.executor.JoinExecutor` pools the join engine uses.  All
+bootstrap resamples are index draws into it, never matrix copies.  The trees
+are split into contiguous groups, one per worker of the same pluggable
+:class:`~repro.core.executor.JoinExecutor` pools the join engine uses, and
+each group grows in lockstep (:func:`~repro.ml.tree.grow_trees`).  All
 per-tree randomness (seed and bootstrap sample) is drawn up front from the
 forest RNG in tree order — interleaved exactly like the historical serial
-loop — so serial, thread and process execution produce byte-identical
-forests.
+loop — and a tree grows byte-identically in any group, so serial, thread and
+process execution with any worker count produce byte-identical forests.
 """
 
 from __future__ import annotations
@@ -28,19 +29,17 @@ from repro.ml.base import (
     check_fit_inputs,
 )
 from repro.ml.binning import DEFAULT_MAX_BINS, BinnedMatrix, resolve_tree_method
-from repro.ml.tree import DecisionTreeClassifier, DecisionTreeRegressor
+from repro.ml.tree import DecisionTreeClassifier, DecisionTreeRegressor, grow_trees
 
 
-def _fit_forest_tree(shared, task):
-    """Fit one (tree, sample) task against the shared ``(data, y)`` payload.
+def _fit_forest_group(shared, group):
+    """Grow one contiguous group of ``(tree, sample)`` tasks in lockstep.
 
     Top-level so process pools can pickle it; the training data travels via
     the executor's shared-payload channel (once per worker), never per tree.
     """
     data, y = shared
-    tree, sample = task
-    tree.fit(data, y, sample_indices=sample)
-    return tree
+    return grow_trees([(tree, data, y, sample) for tree, sample in group])
 
 
 class _BaseForest(BaseEstimator):
@@ -99,10 +98,15 @@ class _BaseForest(BaseEstimator):
             sample = rng.integers(0, n, size=n) if self.bootstrap else None
             tasks.append((tree, sample))
         executor = make_executor(self.executor, self.n_jobs)
+        # one contiguous group of trees per worker, each grown in lockstep
+        n_groups = min(executor.n_jobs, len(tasks))
+        bounds = np.linspace(0, len(tasks), n_groups + 1).astype(int)
+        groups = [tasks[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
         try:
-            self.estimators_ = executor.map_with_shared(_fit_forest_tree, (data, y), tasks)
+            grown = executor.map_with_shared(_fit_forest_group, (data, y), groups)
         finally:
             executor.shutdown()
+        self.estimators_ = [tree for group in grown for tree in group]
         importances = np.zeros(n_features, dtype=np.float64)
         for tree in self.estimators_:
             importances += tree.feature_importances_

@@ -1,6 +1,6 @@
 """CART decision trees for classification and regression.
 
-Two split-search kernels share one construction loop:
+Two split-search kernels share one construction driver:
 
 * ``tree_method="exact"`` — the classic greedy search: at every node each
   candidate feature is sorted and every boundary between distinct values is
@@ -14,12 +14,20 @@ Two split-search kernels share one construction loop:
   features whose distinct-value count fits into the bin budget the two kernels
   are bit-identical (see :mod:`repro.ml.binning` for why).
 
-Construction recurses over *row-index arrays* into the training data, so a
-forest's bootstrap resample is an index draw, not a matrix copy.  Feature
-importances are accumulated as impurity decrease weighted by the number of
-samples reaching the node, matching the quantity the paper's Random-Forest
-ranker consumes.  Fitted trees always predict on raw float matrices: histogram
-splits are translated back to float thresholds at fit time.
+Construction works on *row-index arrays* into the training data, so a
+forest's bootstrap resample is an index draw, not a matrix copy.  One driver,
+:func:`grow_trees`, grows every tree: a single tree is a group of one, a
+forest hands each worker a contiguous group of its trees.  The trees of a
+group grow in **lockstep**: each keeps its own explicit depth-first stack and
+its own random generator, advances until its next node needs a split search,
+and one batched histogram search then serves the pending node of every tree
+in the group.  Per-tree draw order and per-node arithmetic do not depend on
+the group, so a tree grows byte-identically alone or beside any other trees.
+Feature importances are accumulated as impurity decrease weighted by the
+number of samples reaching the node, matching the quantity the paper's
+Random-Forest ranker consumes.  Fitted trees always predict on raw float
+matrices: histogram splits are translated back to float thresholds at fit
+time.
 """
 
 from __future__ import annotations
@@ -64,8 +72,338 @@ def _resolve_max_features(option, n_features: int) -> int:
     raise ValueError(f"invalid max_features {option!r}")
 
 
+# One batched histogram search covers at most this many scratch cells (see
+# _batches), so a step whose pending nodes are all large — the roots — is
+# searched in several batches instead of one unbounded one.
+_BATCH_CELLS = 8192
+
+
+class _Growth:
+    """Construction state of one tree inside a lockstep group.
+
+    The tree's nodes are produced in depth-first pre-order from an explicit
+    stack, exactly as a recursive build would emit them.  :meth:`advance`
+    pops nodes (finishing leaves on the spot) until one needs a split search,
+    draws its candidate features from the tree's own generator and leaves it
+    *pending* (``rows``, ``node_y``, ``candidates``) for the group's search;
+    :meth:`apply` then splits it or keeps it a leaf.
+    """
+
+    __slots__ = (
+        "tree", "binned", "X", "y", "n_classes", "n_bins", "rng", "nodes",
+        "importances", "n_total", "n_candidates", "stack",
+        "index", "rows", "depth", "node_y", "candidates",
+    )
+
+    def __init__(self, tree: "_BaseDecisionTree", X, y, sample_indices) -> None:
+        X, y = check_fit_inputs(X, y)
+        method = resolve_tree_method(tree.tree_method)
+        if isinstance(X, BinnedMatrix):
+            if method == "exact":
+                raise ValueError(
+                    "the exact kernel cannot train on a BinnedMatrix; "
+                    "pass the float matrix instead"
+                )
+            self.binned, self.X = X, None
+        elif method == "hist":
+            self.binned, self.X = BinnedMatrix.from_matrix(X, max_bins=tree.max_bins), None
+        else:
+            self.binned, self.X = None, X
+        # histogram width: every bin code of the matrix is below it
+        self.n_bins = 0 if self.binned is None else int(self.binned.n_bins.max(initial=1))
+        n_rows, tree.n_features_ = X.shape
+        self.tree = tree
+        self.y, self.n_classes = tree._prepare_target(y, sample_indices)
+        self.rng = np.random.default_rng(tree.random_state)
+        self.nodes: list[_Node] = []
+        self.importances = np.zeros(tree.n_features_, dtype=np.float64)
+        self.n_candidates = _resolve_max_features(tree.max_features, tree.n_features_)
+        if sample_indices is None:
+            rows = np.arange(n_rows)
+        else:
+            rows = np.asarray(sample_indices, dtype=np.int64)
+        self.n_total = len(rows)
+        # (rows, depth, parent index, is-left-child); the root has no parent
+        self.stack = [(rows, 0, -1, True)]
+
+    def advance(self) -> bool:
+        """Pop nodes until one needs a split search; ``False`` once grown."""
+        tree, nodes = self.tree, self.nodes
+        while self.stack:
+            rows, depth, parent, is_left = self.stack.pop()
+            index = len(nodes)
+            if parent >= 0:
+                if is_left:
+                    nodes[parent].left = index
+                else:
+                    nodes[parent].right = index
+            y = self.y[rows]
+            n = len(rows)
+            # np.add.reduce(...)/n is bit-identical to np.mean / np.var
+            if self.n_classes is None:
+                mean = np.add.reduce(y) / n
+                value = np.array([float(mean)])
+            else:
+                counts = np.bincount(y, minlength=self.n_classes)
+                value = counts / max(counts.sum(), 1)
+            nodes.append(_Node(-1, 0.0, -1, -1, value))
+            if n < tree.min_samples_split or (
+                tree.max_depth is not None and depth >= tree.max_depth
+            ):
+                continue
+            if self.n_classes is None:
+                deviation = y - mean
+                impurity = float(np.add.reduce(deviation * deviation) / n)
+            else:
+                impurity = float(1.0 - np.sum(value**2))
+            if impurity <= 1e-12:
+                continue
+            n_features = tree.n_features_
+            if self.n_candidates < n_features:
+                candidates = self.rng.choice(n_features, size=self.n_candidates, replace=False)
+            elif n_features:
+                candidates = np.arange(n_features)
+            else:  # zero-feature matrices grow a single constant leaf
+                continue
+            self.index, self.rows, self.depth = index, rows, depth
+            self.node_y, self.candidates = y, candidates
+            return True
+        return False
+
+    def search_exact(self):
+        """The pending node's best split with the exact (sorting) kernel."""
+        best_gain, best_feature, best_threshold = 0.0, -1, 0.0
+        for feature in self.candidates:
+            gain, threshold = self.tree._best_split_for_feature(
+                self.X[self.rows, feature], self.node_y
+            )
+            if gain > best_gain + 1e-15:
+                best_gain, best_feature, best_threshold = gain, int(feature), threshold
+        if best_feature < 0:
+            return None
+        return best_gain, best_feature, best_threshold, -1
+
+    def apply(self, split) -> None:
+        """Split the pending node (``split`` from a search, ``None`` = leaf)."""
+        if split is None:
+            return
+        gain, feature, threshold, bin_lo = split
+        rows = self.rows
+        if self.binned is not None:
+            mask = self.binned.codes[rows, feature] <= bin_lo
+        else:
+            mask = self.X[rows, feature] <= threshold
+        n = len(rows)
+        n_left = int(np.count_nonzero(mask))
+        min_leaf = self.tree.min_samples_leaf
+        if n_left < min_leaf or (n - n_left) < min_leaf:
+            return
+        self.importances[feature] += gain * (n / self.n_total)
+        node = self.nodes[self.index]
+        node.feature = feature
+        node.threshold = threshold
+        # right pushed first so the left subtree is grown (and numbered) first
+        self.stack.append((rows[~mask], self.depth + 1, self.index, False))
+        self.stack.append((rows[mask], self.depth + 1, self.index, True))
+
+    def finish(self) -> None:
+        tree = self.tree
+        tree._nodes = self.nodes
+        total = self.importances.sum()
+        if total > 0:
+            tree.feature_importances_ = self.importances / total
+        else:
+            tree.feature_importances_ = np.zeros(tree.n_features_, dtype=np.float64)
+
+
+def _hist_gains_regression(cum_n, cum_sum, m, valid):
+    """Variance decrease of every boundary, shape ``(B, k, bins - 1)``."""
+    total_sum = cum_sum[:, :, -1:]
+    n_left = cum_n[:, :, :-1]
+    n_right = m - n_left
+    left_sum = cum_sum[:, :, :-1]
+    right_sum = total_sum - left_sum
+    safe_left = np.where(valid, n_left, 1)
+    safe_right = np.where(valid, n_right, 1)
+    # the exact kernel's cancelled variance-decrease expression, so the two
+    # kernels stay bit-identical where binning is lossless
+    return (
+        left_sum**2 / safe_left + right_sum**2 / safe_right - total_sum**2 / m
+    ) / m
+
+
+def _hist_gains_classification(cum_n, cum_counts, m, valid):
+    """Gini decrease of every boundary, shape ``(B, k, bins - 1)``."""
+    total_counts = cum_counts[:, :, -1, :]  # (B, k, n_classes)
+    left_counts = cum_counts[:, :, :-1, :]
+    right_counts = total_counts[:, :, None, :] - left_counts
+    n_left = cum_n[:, :, :-1].astype(np.float64)
+    n_right = m - n_left
+    safe_left = np.where(valid, n_left, 1.0)
+    safe_right = np.where(valid, n_right, 1.0)
+    gini_left = 1.0 - np.sum((left_counts / safe_left[..., None]) ** 2, axis=3)
+    gini_right = 1.0 - np.sum((right_counts / safe_right[..., None]) ** 2, axis=3)
+    gini_parent = 1.0 - np.sum((total_counts / m) ** 2, axis=2)
+    return gini_parent[..., None] - (n_left / m) * gini_left - (n_right / m) * gini_right
+
+
+def _hist_search(batch: list[_Growth]) -> list:
+    """Best histogram split of the pending node of every tree in ``batch``.
+
+    The batch's trees share one :class:`BinnedMatrix`, candidate count and
+    class count.  Every (node, candidate, bin) triple gets one key, so one
+    gather builds the keys and one ``bincount`` per statistic the histograms
+    of the whole batch; each bin still accumulates its rows in row order,
+    exactly as a one-node search would.  Prefix sums then run per (node,
+    candidate) row over that row's non-empty bins only, zero-padded to the
+    widest row — padding adds exact zeros, so every boundary statistic has
+    the bits a one-node search computes, and the boundaries after empty bins
+    (ties a sorted scan never cuts at) disappear.  Returns one ``(gain,
+    feature, threshold, bin_lo)`` or ``None`` per tree.
+    """
+    first = batch[0]
+    binned, n_classes, n_bins = first.binned, first.n_classes, first.n_bins
+    n_batch, k = len(batch), len(first.candidates)
+    sizes = [len(g.rows) for g in batch]
+    candidates = np.array([g.candidates for g in batch])  # (B, k)
+    keys = binned.codes[
+        np.concatenate([g.rows for g in batch])[:, None],
+        np.repeat(candidates, sizes, axis=0),
+    ].astype(np.int64)
+    slots = np.arange(n_batch * k, dtype=np.int64).reshape(n_batch, k) * n_bins
+    keys += np.repeat(slots, sizes, axis=0)
+    keys = keys.ravel()
+    targets = np.repeat(np.concatenate([g.node_y for g in batch]), k)
+    n_rows = n_batch * k
+    counts = np.bincount(keys, minlength=n_rows * n_bins)
+    occupied = np.flatnonzero(counts)
+    # position of every non-empty bin within its (node, candidate) row
+    row_of = occupied // n_bins
+    rank = np.arange(len(occupied)) - np.searchsorted(row_of, row_of)
+    packed_width = int(rank.max()) + 1
+    if packed_width < 2:
+        return [None] * n_batch
+    dest = row_of * packed_width + rank
+    shape = (n_batch, k, packed_width)
+    bin_code = np.zeros(n_rows * packed_width, dtype=np.int64)
+    bin_code[dest] = occupied % n_bins
+    bin_code = bin_code.reshape(shape)
+    packed_n = np.zeros(n_rows * packed_width, dtype=np.int64)
+    packed_n[dest] = counts[occupied]
+    cum_n = np.cumsum(packed_n.reshape(shape), axis=2)
+    m = np.array(sizes, dtype=np.int64)[:, None, None]
+    n_left = cum_n[:, :, :-1]
+    valid = (n_left > 0) & (n_left < m)
+    if n_classes is None:
+        sums = np.bincount(keys, weights=targets, minlength=n_rows * n_bins)
+        packed = np.zeros(n_rows * packed_width, dtype=np.float64)
+        packed[dest] = sums[occupied]
+        cum_stat = np.cumsum(packed.reshape(shape), axis=2)
+        gains = _hist_gains_regression(cum_n, cum_stat, m, valid)
+    else:
+        joint = np.bincount(
+            keys * n_classes + targets, minlength=n_rows * n_bins * n_classes
+        ).reshape(-1, n_classes)
+        packed = np.zeros((n_rows * packed_width, n_classes), dtype=np.float64)
+        packed[dest] = joint[occupied]
+        cum_stat = np.cumsum(packed.reshape(*shape, n_classes), axis=2)
+        gains = _hist_gains_classification(cum_n, cum_stat, m, valid)
+    gains = np.where(valid, gains, -np.inf)
+    best = np.argmax(gains, axis=2)  # first of equal gains: the sorted scan's cut
+    best_gains = gains.max(axis=2)
+    best_gains = np.where(best_gains > 0, best_gains, -np.inf)
+    # the exact kernel's candidate-order rule, vectorised over the batch: a
+    # later candidate must beat the best so far by more than 1e-15
+    top = np.zeros(n_batch)
+    chosen = np.full(n_batch, -1)
+    for j in range(k):
+        better = best_gains[:, j] > top + 1e-15
+        top = np.where(better, best_gains[:, j], top)
+        chosen = np.where(better, j, chosen)
+    splits = [None] * n_batch
+    found = np.flatnonzero(chosen >= 0)
+    slot_of = chosen[found]
+    cuts = best[found, slot_of]
+    # the next non-empty bin to the right of the cut fixes the threshold
+    for slot, feature, gain, bin_lo, bin_hi in zip(
+        found.tolist(),
+        candidates[found, slot_of].tolist(),
+        top[found].tolist(),
+        bin_code[found, slot_of, cuts].tolist(),
+        bin_code[found, slot_of, cuts + 1].tolist(),
+    ):
+        threshold = binned.split_threshold(feature, bin_lo, bin_hi)
+        splits[slot] = (gain, feature, threshold, bin_lo)
+    return splits
+
+
+def _batches(group: list[_Growth]):
+    """Split compatible histogram nodes into batches of bounded scratch.
+
+    A batch's scratch is its bin keys (rows x candidates per node) plus, per
+    node and candidate, a packed row of non-empty bins (at most ``min(rows,
+    bins)`` wide) and the gains over it.  Nodes are taken largest first, so
+    similar-sized nodes share a batch and little of it is padding; a batch
+    stops below :data:`_BATCH_CELLS` cells, or at one node if that is larger.
+    """
+    group = sorted(group, key=lambda g: -len(g.rows))
+    k, n_bins = len(group[0].candidates), group[0].n_bins
+    # largest first: the first node of a batch fixes its packed width
+    batch, key_cells, packed = [], 0, 0
+    for g in group:
+        m = len(g.rows)
+        if batch and key_cells + m * k + (len(batch) + 1) * k * packed > _BATCH_CELLS:
+            yield batch
+            batch, key_cells = [], 0
+        if not batch:
+            packed = min(m, n_bins)
+        batch.append(g)
+        key_cells += m * k
+    yield batch
+
+
+def _search_pending(pending: list[_Growth]) -> None:
+    """Run and apply the split search of every tree's pending node.
+
+    Exact-kernel nodes are searched one by one.  Histogram nodes are batched
+    when their trees share the binned matrix, candidate count and class
+    count (padding the class axis would regroup numpy's pairwise sum over
+    classes, so class counts never mix).
+    """
+    groups: dict[tuple, list[_Growth]] = {}
+    for g in pending:
+        if g.binned is None:
+            g.apply(g.search_exact())
+        else:
+            key = (id(g.binned), len(g.candidates), g.n_classes)
+            groups.setdefault(key, []).append(g)
+    for group in groups.values():
+        for batch in _batches(group):
+            for g, split in zip(batch, _hist_search(batch)):
+                g.apply(split)
+
+
+def grow_trees(tasks) -> list:
+    """Grow ``(tree, X, y, sample_indices)`` tasks as one lockstep group.
+
+    Each task is what ``tree.fit(X, y, sample_indices)`` would receive; the
+    trees may differ in data, target, kernel and hyper-parameters.  Every
+    step advances each unfinished tree to its next node needing a split
+    search and serves all of those nodes with one batched search.  Returns
+    the fitted trees in task order.
+    """
+    growths = [_Growth(tree, X, y, sample) for tree, X, y, sample in tasks]
+    active = growths
+    while active:
+        active = [g for g in active if g.advance()]
+        _search_pending(active)
+    for g in growths:
+        g.finish()
+    return [g.tree for g in growths]
+
+
 class _BaseDecisionTree(BaseEstimator):
-    """Shared CART construction machinery."""
+    """Shared CART machinery: fitting, inference and persistence."""
 
     def __init__(
         self,
@@ -90,10 +428,8 @@ class _BaseDecisionTree(BaseEstimator):
 
     # subclasses provide these -------------------------------------------------
 
-    def _node_value(self, y: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def _node_impurity(self, y: np.ndarray) -> float:
+    def _prepare_target(self, y: np.ndarray, sample_indices) -> tuple[np.ndarray, int | None]:
+        """The target as grown on, and the class count (``None``: regression)."""
         raise NotImplementedError
 
     def _best_split_for_feature(
@@ -102,157 +438,18 @@ class _BaseDecisionTree(BaseEstimator):
         """Return ``(impurity_decrease, threshold)`` or ``(-inf, 0)`` if none."""
         raise NotImplementedError
 
-    def _hist_gains(
-        self,
-        flat: np.ndarray,
-        y: np.ndarray,
-        cum_n: np.ndarray,
-        k: int,
-        n_bins: int,
-        m: int,
-        valid: np.ndarray,
-    ) -> np.ndarray:
-        """Per-boundary impurity decreases, shape ``(k, n_bins - 1)``.
-
-        ``flat`` holds each row's bin code offset by ``feature * n_bins`` (the
-        shared bincount key), ``cum_n`` the per-feature cumulative bin counts
-        and ``valid`` masks boundaries with rows on both sides.
-        """
-        raise NotImplementedError
-
-    def _hist_search(self, rows: np.ndarray, candidates: np.ndarray, y: np.ndarray):
-        """Histogram split search over all candidate features at once.
-
-        One shared ``bincount`` per statistic covers every candidate feature —
-        node cost is O(m·k + k·bins) with a handful of numpy calls, instead of
-        O(m log m) *per feature* for the exact kernel's sort.  Returns
-        ``(best_gains, best_bins, counts)`` aligned with ``candidates``;
-        features without a usable split get ``-inf``.
-
-        Boundary semantics match the exact kernel: every boundary with rows on
-        both sides is scored, duplicate boundaries created by empty bins tie
-        with identical gains and ``argmax`` keeps the first — the non-empty
-        bin — exactly where the sorted scan would have cut.
-        """
-        binned = self._binned
-        k = len(candidates)
-        if k == 0:  # zero-feature matrices grow a single constant leaf
-            return np.full(0, -np.inf), np.full(0, -1), None
-        n_bins = int(binned.n_bins[candidates].max())
-        if n_bins < 2:
-            return np.full(k, -np.inf), np.full(k, -1), None
-        sub = binned.codes[np.ix_(rows, candidates)].astype(np.int64)
-        m = len(rows)
-        sub += np.arange(k, dtype=np.int64) * n_bins  # offset codes per feature in place
-        flat = sub.ravel()
-        counts = np.bincount(flat, minlength=k * n_bins).reshape(k, n_bins)
-        cum_n = np.cumsum(counts, axis=1)
-        n_left = cum_n[:, :-1]
-        valid = (n_left > 0) & (n_left < m)
-        gains = self._hist_gains(flat, y, cum_n, k, n_bins, m, valid)
-        gains = np.where(valid, gains, -np.inf)
-        best = np.argmax(gains, axis=1)
-        best_gains = gains[np.arange(k), best]
-        best_gains = np.where(best_gains > 0, best_gains, -np.inf)
-        return best_gains, best, counts
-
     # construction --------------------------------------------------------------
 
-    def _fit_tree(self, X, y: np.ndarray, sample_indices: np.ndarray | None = None) -> None:
-        if isinstance(X, BinnedMatrix):
-            if resolve_tree_method(self.tree_method) == "exact":
-                raise ValueError(
-                    "the exact kernel cannot train on a BinnedMatrix; "
-                    "pass the float matrix instead"
-                )
-            self._binned, self._X = X, None
-            self._method = "hist"
-        else:
-            self._method = resolve_tree_method(self.tree_method)
-            if self._method == "hist":
-                self._binned = BinnedMatrix.from_matrix(X, max_bins=self.max_bins)
-                self._X = None
-            else:
-                self._binned, self._X = None, X
-        n_rows, self.n_features_ = X.shape
-        self._y = y
-        self._nodes = []
-        self._importances = np.zeros(self.n_features_, dtype=np.float64)
-        self._rng = np.random.default_rng(self.random_state)
-        if sample_indices is None:
-            rows = np.arange(n_rows)
-        else:
-            rows = np.asarray(sample_indices, dtype=np.int64)
-        self._n_total = len(rows)
-        self._build(rows, depth=0)
-        total = self._importances.sum()
-        if total > 0:
-            self.feature_importances_ = self._importances / total
-        else:
-            self.feature_importances_ = np.zeros(self.n_features_, dtype=np.float64)
-        # drop training references: a shared BinnedMatrix must not be pinned by
-        # every tree of a forest, and fitted trees only ever see float inputs
-        self._binned = self._X = self._y = None
+    def fit(self, X, y, sample_indices: np.ndarray | None = None):
+        """Grow the tree on the training data (a lockstep group of one).
 
-    def _build(self, rows: np.ndarray, depth: int) -> int:
-        node_index = len(self._nodes)
-        y = self._y[rows]
-        value = self._node_value(y)
-        self._nodes.append(_Node(-1, 0.0, -1, -1, value))
-        n = len(rows)
-        if (
-            n < self.min_samples_split
-            or (self.max_depth is not None and depth >= self.max_depth)
-            or self._node_impurity(y) <= 1e-12
-        ):
-            return node_index
-
-        n_candidates = _resolve_max_features(self.max_features, self.n_features_)
-        if n_candidates < self.n_features_:
-            candidates = self._rng.choice(self.n_features_, size=n_candidates, replace=False)
-        else:
-            candidates = np.arange(self.n_features_)
-
-        best_gain, best_feature, best_threshold, best_bin = 0.0, -1, 0.0, -1
-        if self._method == "hist":
-            gains, bins, counts = self._hist_search(rows, candidates, y)
-            best_index = -1
-            for index in range(len(candidates)):
-                if gains[index] > best_gain + 1e-15:
-                    best_gain = float(gains[index])
-                    best_feature = int(candidates[index])
-                    best_bin = int(bins[index])
-                    best_index = index
-            if best_feature >= 0:
-                # first non-empty bin to the right of the cut fixes the threshold
-                above = np.nonzero(counts[best_index, best_bin + 1:])[0]
-                bin_hi = best_bin + 1 + int(above[0])
-                best_threshold = self._binned.split_threshold(best_feature, best_bin, bin_hi)
-        else:
-            for feature in candidates:
-                gain, threshold = self._best_split_for_feature(self._X[rows, feature], y)
-                if gain > best_gain + 1e-15:
-                    best_gain, best_feature, best_threshold = gain, int(feature), threshold
-        if best_feature < 0:
-            return node_index
-
-        if self._method == "hist":
-            mask = self._binned.codes[rows, best_feature] <= best_bin
-        else:
-            mask = self._X[rows, best_feature] <= best_threshold
-        n_left = int(mask.sum())
-        if n_left < self.min_samples_leaf or (n - n_left) < self.min_samples_leaf:
-            return node_index
-
-        self._importances[best_feature] += best_gain * (n / self._n_total)
-        left_index = self._build(rows[mask], depth + 1)
-        right_index = self._build(rows[~mask], depth + 1)
-        node = self._nodes[node_index]
-        node.feature = best_feature
-        node.threshold = best_threshold
-        node.left = left_index
-        node.right = right_index
-        return node_index
+        ``X`` may be a float matrix or a prebuilt (shared)
+        :class:`~repro.ml.binning.BinnedMatrix`; ``sample_indices`` restricts
+        training to the given rows (with repeats — a bootstrap draw) without
+        copying the data.
+        """
+        grow_trees([(self, X, y, sample_indices)])
+        return self
 
     # inference ------------------------------------------------------------------
 
@@ -262,18 +459,19 @@ class _BaseDecisionTree(BaseEstimator):
         if not self._nodes:
             raise RuntimeError("tree must be fitted before prediction")
         out = np.empty((X.shape[0], len(self._nodes[0].value)), dtype=np.float64)
-        indices = np.arange(X.shape[0])
-        self._route(X, indices, 0, out)
+        # an explicit stack, not recursion: unbounded trees can be deeper
+        # than the interpreter's recursion limit
+        stack = [(0, np.arange(X.shape[0]))]
+        while stack:
+            node_index, indices = stack.pop()
+            node = self._nodes[node_index]
+            if node.feature < 0 or len(indices) == 0:
+                out[indices] = node.value
+                continue
+            mask = X[indices, node.feature] <= node.threshold
+            stack.append((node.right, indices[~mask]))
+            stack.append((node.left, indices[mask]))
         return out
-
-    def _route(self, X: np.ndarray, indices: np.ndarray, node_index: int, out: np.ndarray) -> None:
-        node = self._nodes[node_index]
-        if node.feature < 0 or len(indices) == 0:
-            out[indices] = node.value
-            return
-        mask = X[indices, node.feature] <= node.threshold
-        self._route(X, indices[mask], node.left, out)
-        self._route(X, indices[~mask], node.right, out)
 
     # persistence ----------------------------------------------------------------
 
@@ -349,42 +547,30 @@ class _BaseDecisionTree(BaseEstimator):
 
     def depth(self) -> int:
         """Depth of the fitted tree (0 for a single leaf)."""
-
-        def walk(index: int) -> int:
-            node = self._nodes[index]
-            if node.feature < 0:
-                return 0
-            return 1 + max(walk(node.left), walk(node.right))
-
         if not self._nodes:
             return 0
-        return walk(0)
+        deepest = 0
+        stack = [(0, 0)]
+        while stack:
+            index, depth = stack.pop()
+            node = self._nodes[index]
+            if node.feature < 0:
+                deepest = max(deepest, depth)
+            else:
+                stack.append((node.left, depth + 1))
+                stack.append((node.right, depth + 1))
+        return deepest
 
 
 class DecisionTreeRegressor(_BaseDecisionTree, RegressorMixin):
     """CART regression tree minimising within-node variance."""
 
-    def fit(self, X, y, sample_indices: np.ndarray | None = None) -> "DecisionTreeRegressor":
-        """Grow the tree on the training data.
-
-        ``X`` may be a float matrix or a prebuilt (shared)
-        :class:`~repro.ml.binning.BinnedMatrix`; ``sample_indices`` restricts
-        training to the given rows (with repeats — a bootstrap draw) without
-        copying the data.
-        """
-        X, y = check_fit_inputs(X, y)
-        self._fit_tree(X, y, sample_indices)
-        return self
-
     def predict(self, X) -> np.ndarray:
         """Predict the mean target of the leaf each row falls into."""
         return self._predict_values(X)[:, 0]
 
-    def _node_value(self, y: np.ndarray) -> np.ndarray:
-        return np.array([float(np.mean(y))])
-
-    def _node_impurity(self, y: np.ndarray) -> float:
-        return float(np.var(y))
+    def _prepare_target(self, y, sample_indices):
+        return y, None
 
     def _best_split_for_feature(self, values, y) -> tuple[float, float]:
         order = np.argsort(values, kind="stable")
@@ -413,44 +599,18 @@ class DecisionTreeRegressor(_BaseDecisionTree, RegressorMixin):
         threshold = (v[boundary] + v[boundary + 1]) / 2.0
         return float(gains[best]), float(threshold)
 
-    def _hist_gains(self, flat, y, cum_n, k, n_bins, m, valid) -> np.ndarray:
-        sums = np.bincount(
-            flat, weights=np.repeat(y, k), minlength=k * n_bins
-        ).reshape(k, n_bins)
-        cum_sum = np.cumsum(sums, axis=1)
-        total_sum = cum_sum[:, -1:]
-        n_left = cum_n[:, :-1]
-        n_right = m - n_left
-        left_sum = cum_sum[:, :-1]
-        right_sum = total_sum - left_sum
-        safe_left = np.where(valid, n_left, 1)
-        safe_right = np.where(valid, n_right, 1)
-        # same cancelled variance-decrease expression as the exact kernel, so
-        # the two kernels stay bit-identical where binning is lossless
-        return (
-            left_sum**2 / safe_left + right_sum**2 / safe_right - total_sum**2 / m
-        ) / m
-
 
 class DecisionTreeClassifier(_BaseDecisionTree, ClassifierMixin):
     """CART classification tree minimising Gini impurity."""
 
-    def fit(self, X, y, sample_indices: np.ndarray | None = None) -> "DecisionTreeClassifier":
-        """Grow the tree on the training data.
-
-        See :meth:`DecisionTreeRegressor.fit` for the accepted ``X`` kinds and
-        ``sample_indices`` semantics.  Classes are taken from the sampled rows
-        only, matching a fit on the materialised bootstrap sample.
-        """
-        X, y = check_fit_inputs(X, y)
+    def _prepare_target(self, y, sample_indices):
+        # classes are taken from the sampled rows only, matching a fit on the
+        # materialised bootstrap sample; rows outside the sample may get the
+        # out-of-range code len(classes_), but construction never visits them
         y_seen = y if sample_indices is None else y[np.asarray(sample_indices)]
         self.classes_ = np.unique(y_seen)
         self._class_index = {cls: i for i, cls in enumerate(self.classes_)}
-        # rows outside the sample may get the out-of-range code len(classes_);
-        # construction never visits them, so the codes are harmless
-        codes = np.searchsorted(self.classes_, y)
-        self._fit_tree(X, codes.astype(np.float64), sample_indices)
-        return self
+        return np.searchsorted(self.classes_, y).astype(np.int64), len(self.classes_)
 
     def predict_proba(self, X) -> np.ndarray:
         """Class-probability estimates (leaf class frequencies)."""
@@ -471,14 +631,6 @@ class DecisionTreeClassifier(_BaseDecisionTree, ClassifierMixin):
         super()._restore_state(doc, arrays)
         self.classes_ = np.asarray(arrays["classes"], dtype=np.float64)
         self._class_index = {cls: i for i, cls in enumerate(self.classes_)}
-
-    def _node_value(self, codes: np.ndarray) -> np.ndarray:
-        counts = np.bincount(codes.astype(np.int64), minlength=len(self.classes_))
-        return counts / max(counts.sum(), 1)
-
-    def _node_impurity(self, codes: np.ndarray) -> float:
-        probabilities = self._node_value(codes)
-        return float(1.0 - np.sum(probabilities**2))
 
     def _best_split_for_feature(self, values, codes) -> tuple[float, float]:
         order = np.argsort(values, kind="stable")
@@ -509,23 +661,3 @@ class DecisionTreeClassifier(_BaseDecisionTree, ClassifierMixin):
         boundary = boundaries[best]
         threshold = (v[boundary] + v[boundary + 1]) / 2.0
         return float(gains[best]), float(threshold)
-
-    def _hist_gains(self, flat, y, cum_n, k, n_bins, m, valid) -> np.ndarray:
-        n_classes = len(self.classes_)
-        class_codes = np.repeat(y.astype(np.int64), k)
-        joint = np.bincount(
-            flat * n_classes + class_codes,
-            minlength=k * n_bins * n_classes,
-        ).reshape(k, n_bins, n_classes)
-        cum_counts = np.cumsum(joint.astype(np.float64), axis=1)
-        total_counts = cum_counts[:, -1, :]  # (k, n_classes)
-        left_counts = cum_counts[:, :-1, :]  # (k, n_bins - 1, n_classes)
-        right_counts = total_counts[:, None, :] - left_counts
-        n_left = cum_n[:, :-1].astype(np.float64)
-        n_right = m - n_left
-        safe_left = np.where(valid, n_left, 1.0)
-        safe_right = np.where(valid, n_right, 1.0)
-        gini_left = 1.0 - np.sum((left_counts / safe_left[..., None]) ** 2, axis=2)
-        gini_right = 1.0 - np.sum((right_counts / safe_right[..., None]) ** 2, axis=2)
-        gini_parent = 1.0 - np.sum((total_counts / m) ** 2, axis=1)
-        return gini_parent[:, None] - (n_left / m) * gini_left - (n_right / m) * gini_right

@@ -251,17 +251,22 @@ def test_to_binned_matrix_aligns_with_design_matrix(rng):
 
 class TestParallelDeterminism:
     def test_forest_identical_across_executors(self, rng):
+        # 7 trees over 1-3 workers: uneven contiguous tree groups per worker
         X = rng.normal(size=(200, 6))
         y = (X[:, 0] + X[:, 1] > 0).astype(float)
-        reference = RandomForestClassifier(n_estimators=6, random_state=3).fit(X, y)
-        for executor, n_jobs in EXECUTORS[1:]:
-            parallel = RandomForestClassifier(
-                n_estimators=6, random_state=3, executor=executor, n_jobs=n_jobs
-            ).fit(X, y)
-            assert np.array_equal(reference.predict_proba(X), parallel.predict_proba(X))
-            assert np.array_equal(
-                reference.feature_importances_, parallel.feature_importances_
-            )
+        reference = RandomForestClassifier(n_estimators=7, random_state=3).fit(X, y)
+        _, expected = reference.to_state()
+        for executor in ("serial", "thread", "process"):
+            for n_jobs in (1, 2, 3):
+                parallel = RandomForestClassifier(
+                    n_estimators=7, random_state=3, executor=executor, n_jobs=n_jobs
+                ).fit(X, y)
+                _, arrays = parallel.to_state()
+                assert arrays.keys() == expected.keys()
+                for name, array in expected.items():
+                    assert array.dtype == arrays[name].dtype, (executor, n_jobs, name)
+                    assert array.tobytes() == arrays[name].tobytes(), (executor, n_jobs, name)
+                assert np.array_equal(reference.predict_proba(X), parallel.predict_proba(X))
 
     @pytest.mark.parametrize("method", ["hist", "exact"])
     def test_rifs_selections_identical_across_executors(self, method, rng):
