@@ -153,7 +153,7 @@ def main() -> int:
         )
 
         config = ServingConfig(
-            port=0, workers=args.workers, max_wait_ms=1.0, reload_interval_s=0.0
+            port=0, workers=args.workers, reload_interval_s=0.0
         )
         with PredictionServer(
             artifact, repository=str(lake), config=config, registry=MetricsRegistry()

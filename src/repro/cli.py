@@ -147,7 +147,6 @@ def _cmd_server(args) -> int:
         port=args.port,
         workers=args.workers,
         max_batch_rows=args.max_batch_rows,
-        max_wait_ms=args.max_wait_ms,
         queue_depth=args.queue_depth,
         max_request_rows=args.max_request_rows,
         reload_interval_s=args.reload_interval,
@@ -175,7 +174,7 @@ def _cmd_server(args) -> int:
     print(f"serving {args.artifact} on http://{host}:{port}", flush=True)
     print(
         f"  workers={config.workers} max_batch_rows={config.max_batch_rows} "
-        f"max_wait_ms={config.max_wait_ms} reload_interval_s={config.reload_interval_s}",
+        f"reload_interval_s={config.reload_interval_s}",
         flush=True,
     )
     try:
@@ -441,7 +440,6 @@ def build_parser() -> argparse.ArgumentParser:
     server.add_argument("--port", type=int, default=defaults.port, help="0 = ephemeral")
     server.add_argument("--workers", type=int, default=defaults.workers)
     server.add_argument("--max-batch-rows", type=int, default=defaults.max_batch_rows)
-    server.add_argument("--max-wait-ms", type=float, default=defaults.max_wait_ms)
     server.add_argument("--queue-depth", type=int, default=defaults.queue_depth)
     server.add_argument("--max-request-rows", type=int, default=defaults.max_request_rows)
     server.add_argument(

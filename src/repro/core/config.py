@@ -291,15 +291,11 @@ class ServingConfig:
         and one pinned repository snapshot.
     max_batch_rows:
         Micro-batch coalescing cap: a worker stops gathering requests once
-        the coalesced row count reaches this.  Larger batches amortise join
-        replay and estimator dispatch; smaller ones bound per-request
-        latency.
-    max_wait_ms:
-        How long a worker waits for more requests to coalesce after its
-        first, in milliseconds.  The wait only happens while the queue is
-        empty — a backed-up queue coalesces without waiting.  ``0`` disables
-        coalescing-by-waiting entirely (each batch is whatever is already
-        queued).
+        the coalesced row count reaches this.  A worker only coalesces
+        requests that are already queued — it never waits for more — so
+        batches form from backlog, not from lingering.  Larger batches
+        amortise join replay and estimator dispatch; smaller ones bound
+        per-request latency.
     queue_depth:
         Admission queue capacity in *requests*.  A full queue rejects new
         predict requests with HTTP 503 instead of letting latency grow
@@ -328,7 +324,6 @@ class ServingConfig:
     port: int = 8765
     workers: int = 2
     max_batch_rows: int = 1024
-    max_wait_ms: float = 2.0
     queue_depth: int = 1024
     max_request_rows: int = 100_000
     reload_interval_s: float = 2.0
@@ -343,8 +338,6 @@ class ServingConfig:
             raise ValueError("workers must be >= 1")
         if self.max_batch_rows < 1:
             raise ValueError("max_batch_rows must be >= 1")
-        if self.max_wait_ms < 0:
-            raise ValueError("max_wait_ms must be >= 0")
         if self.queue_depth < 1:
             raise ValueError("queue_depth must be >= 1")
         if self.max_request_rows < 1:

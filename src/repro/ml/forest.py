@@ -14,6 +14,12 @@ per-tree randomness (seed and bootstrap sample) is drawn up front from the
 forest RNG in tree order — interleaved exactly like the historical serial
 loop — and a tree grows byte-identically in any group, so serial, thread and
 process execution with any worker count produce byte-identical forests.
+
+Prediction walks every tree at once: after each fit or restore the forest
+stacks its trees' node arrays into one :class:`~repro.ml.tree.NodeArrays`
+(classifier leaf values widened to the forest's class axis), the traversal
+routes all (tree, row) pairs together, and leaf values are then summed tree
+by tree, in tree order.
 """
 
 from __future__ import annotations
@@ -29,7 +35,15 @@ from repro.ml.base import (
     check_fit_inputs,
 )
 from repro.ml.binning import DEFAULT_MAX_BINS, BinnedMatrix, resolve_tree_method
-from repro.ml.tree import DecisionTreeClassifier, DecisionTreeRegressor, grow_trees
+from repro.ml.tree import (
+    DecisionTreeClassifier,
+    DecisionTreeRegressor,
+    NodeArrays,
+    grow_trees,
+)
+
+# (tree, row) pairs one traversal routes at most; larger batches walk in blocks
+_WALK_PAIRS = 1 << 16
 
 
 def _fit_forest_group(shared, group):
@@ -72,9 +86,51 @@ class _BaseForest(BaseEstimator):
         self.executor = executor
         self.estimators_: list = []
         self.feature_importances_: np.ndarray | None = None
+        self._nodes: NodeArrays | None = None
 
     def _make_tree(self, seed: int):
         raise NotImplementedError
+
+    def _leaf_values(self, tree) -> np.ndarray:
+        """``tree``'s leaf values on the forest's value axis."""
+        return tree._nodes.values
+
+    def _stack_trees(self) -> None:
+        """Stack the trees' node arrays for :meth:`_mean_leaf_values`."""
+        if not self.estimators_:  # a zero-tree forest fits but cannot predict
+            self._nodes = None
+            return
+        self._nodes = NodeArrays.stack(
+            [tree._nodes for tree in self.estimators_],
+            [self._leaf_values(tree) for tree in self.estimators_],
+        )
+
+    def _mean_leaf_values(self, X) -> np.ndarray:
+        """Mean over the trees of the leaf value each row reaches.
+
+        Accumulates tree by tree instead of ``stack().mean(axis=0)``: numpy's
+        pairwise reduction blocks differently for different batch widths, so
+        the stacked mean could round a row's prediction differently depending
+        on how many rows it was scored with.  Sequential accumulation gives
+        every row the same addition order at any batch size — a
+        micro-batching server must return bit-identical predictions however
+        requests get coalesced.  Rows are walked in blocks of at most
+        :data:`_WALK_PAIRS` (tree, row) pairs, which bounds the traversal's
+        scratch memory on large batches without touching any row's bits.
+        """
+        X = check_array(X)
+        if not self.estimators_:
+            raise RuntimeError("forest must be fitted before prediction")
+        values = self._nodes.values
+        total = np.zeros((X.shape[0], values.shape[1]), dtype=np.float64)
+        block_rows = max(1, _WALK_PAIRS // len(self.estimators_))
+        # an empty batch still walks once, so its width is checked too
+        for start in range(0, max(len(X), 1), block_rows):
+            block = slice(start, start + block_rows)
+            for leaves in self._nodes.leaves(X[block]):
+                total[block] += values[leaves]
+        total /= len(self.estimators_)
+        return total
 
     def _fit_forest(self, X, y: np.ndarray) -> None:
         if isinstance(X, BinnedMatrix):
@@ -107,6 +163,7 @@ class _BaseForest(BaseEstimator):
         finally:
             executor.shutdown()
         self.estimators_ = [tree for group in grown for tree in group]
+        self._stack_trees()
         importances = np.zeros(n_features, dtype=np.float64)
         for tree in self.estimators_:
             importances += tree.feature_importances_
@@ -177,6 +234,7 @@ class _BaseForest(BaseEstimator):
             }
             self.estimators_.append(tree_cls.from_state(tree_doc, tree_arrays))
         self.feature_importances_ = np.asarray(arrays["importances"], dtype=np.float64)
+        self._stack_trees()
 
     @classmethod
     def from_state(cls, doc: dict, arrays: dict[str, np.ndarray]):
@@ -207,23 +265,8 @@ class RandomForestRegressor(_BaseForest, RegressorMixin):
         return self
 
     def predict(self, X) -> np.ndarray:
-        """Average the predictions of all trees.
-
-        Accumulates tree-by-tree (like the classifier's soft vote) instead of
-        ``stack().mean(axis=0)``: numpy's pairwise reduction blocks differently
-        for different batch widths, so the stacked mean could round a row's
-        prediction differently depending on how many rows it was scored with.
-        Sequential accumulation gives every row the same addition order at any
-        batch size — a micro-batching server must return bit-identical
-        predictions however requests get coalesced.
-        """
-        X = check_array(X)
-        if not self.estimators_:
-            raise RuntimeError("forest must be fitted before prediction")
-        total = np.zeros(X.shape[0], dtype=np.float64)
-        for tree in self.estimators_:
-            total += tree.predict(X)
-        return total / len(self.estimators_)
+        """Average the predictions of all trees."""
+        return self._mean_leaf_values(X)[:, 0]
 
 
 class RandomForestClassifier(_BaseForest, ClassifierMixin):
@@ -254,8 +297,20 @@ class RandomForestClassifier(_BaseForest, ClassifierMixin):
         return doc, arrays
 
     def _restore_state(self, doc: dict, arrays: dict[str, np.ndarray]) -> None:
-        super()._restore_state(doc, arrays)
+        # the class axis must be known before the trees are stacked
         self.classes_ = np.asarray(arrays["classes"], dtype=np.float64)
+        super()._restore_state(doc, arrays)
+
+    def _leaf_values(self, tree) -> np.ndarray:
+        """Class frequencies widened from the tree's classes to the forest's.
+
+        A tree whose bootstrap sample missed a class gets a zero column for
+        it; adding that exact zero leaves the running sum's bits unchanged.
+        """
+        values = tree._nodes.values
+        wide = np.zeros((len(values), len(self.classes_)), dtype=np.float64)
+        wide[:, np.searchsorted(self.classes_, tree.classes_)] = values
+        return wide
 
     def predict_proba(self, X) -> np.ndarray:
         """Average the class-probability estimates of all trees.
@@ -263,18 +318,7 @@ class RandomForestClassifier(_BaseForest, ClassifierMixin):
         Columns correspond to ``self.classes_``; trees that never saw a class
         contribute zero probability for it.
         """
-        X = check_array(X)
-        if not self.estimators_:
-            raise RuntimeError("forest must be fitted before prediction")
-        n_classes = len(self.classes_)
-        class_index = {cls: i for i, cls in enumerate(self.classes_)}
-        total = np.zeros((X.shape[0], n_classes), dtype=np.float64)
-        for tree in self.estimators_:
-            probabilities = tree.predict_proba(X)
-            for j, cls in enumerate(tree.classes_):
-                total[:, class_index[cls]] += probabilities[:, j]
-        total /= len(self.estimators_)
-        return total
+        return self._mean_leaf_values(X)
 
     def predict(self, X) -> np.ndarray:
         """Predict the class with the highest averaged probability."""

@@ -25,14 +25,19 @@ in the group.  Per-tree draw order and per-node arithmetic do not depend on
 the group, so a tree grows byte-identically alone or beside any other trees.
 Feature importances are accumulated as impurity decrease weighted by the
 number of samples reaching the node, matching the quantity the paper's
-Random-Forest ranker consumes.  Fitted trees always predict on raw float
-matrices: histogram splits are translated back to float thresholds at fit
-time.
+Random-Forest ranker consumes.
+
+A fitted tree is a set of flat node arrays (:class:`NodeArrays`):
+``feature``, ``threshold``, ``left``, ``right`` and ``values``, built once
+when growth finishes, written as-is by ``to_state`` and adopted as-is by
+``from_state``.  One level-synchronous traversal, :meth:`NodeArrays.leaves`,
+routes every (tree, row) pair at once: a tree walks its one root, a forest
+walks the stacked arrays of all its trees.  Fitted trees always predict on
+raw float matrices: histogram splits are translated back to float thresholds
+at fit time.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,15 +51,78 @@ from repro.ml.base import (
 from repro.ml.binning import DEFAULT_MAX_BINS, BinnedMatrix, resolve_tree_method
 
 
-@dataclass
-class _Node:
-    """One tree node; leaves have ``feature == -1``."""
+class NodeArrays:
+    """Fitted trees as flat node arrays, and the traversal that routes rows.
 
-    feature: int
-    threshold: float
-    left: int
-    right: int
-    value: np.ndarray  # class-probability vector (clf) or [mean] (reg)
+    Node ``i`` splits on ``feature[i]`` at ``threshold[i]``: rows with
+    ``X[:, feature] <= threshold`` go to ``left[i]``, all others — NaN cells
+    included — to ``right[i]``.  Leaves have ``feature == -1`` and carry
+    ``values[i]`` (class frequencies, or ``[mean]`` for regression).
+    ``roots`` holds one root id per tree: a single tree is ``[0]``; a stack
+    of trees (:meth:`stack`) offsets every tree's child ids to stack-wide ids.
+    """
+
+    __slots__ = ("feature", "threshold", "left", "right", "values", "roots", "n_features")
+
+    def __init__(self, feature, threshold, left, right, values, n_features, roots=None):
+        self.feature = feature
+        self.threshold = threshold
+        self.left = left
+        self.right = right
+        self.values = values
+        self.n_features = n_features
+        self.roots = np.zeros(1, dtype=np.int64) if roots is None else roots
+
+    @classmethod
+    def stack(cls, trees: list["NodeArrays"], values: list[np.ndarray]) -> "NodeArrays":
+        """Stack single trees into one forest; ``values`` replaces each tree's."""
+        sizes = np.array([len(tree.feature) for tree in trees], dtype=np.int64)
+        roots = np.concatenate([[0], np.cumsum(sizes)[:-1]]).astype(np.int64)
+        # leaves keep -1: the walk never follows a leaf's child ids
+        pairs = list(zip(trees, roots))
+        left = [np.where(tree.left >= 0, tree.left + root, -1) for tree, root in pairs]
+        right = [np.where(tree.right >= 0, tree.right + root, -1) for tree, root in pairs]
+        return cls(
+            np.concatenate([tree.feature for tree in trees]),
+            np.concatenate([tree.threshold for tree in trees]),
+            np.concatenate(left),
+            np.concatenate(right),
+            np.concatenate(values),
+            trees[0].n_features,
+            roots,
+        )
+
+    def leaves(self, X: np.ndarray) -> np.ndarray:
+        """The leaf each (tree, row) pair reaches, shape ``(trees, rows)``.
+
+        Level-synchronous: every step moves all pairs still at a split node
+        one level down with a handful of whole-array operations, so the cost
+        is a few numpy calls per level instead of per node.
+        """
+        n_rows, width = X.shape
+        if width != self.n_features:
+            raise ValueError(
+                f"X has {width} features, but the model was fitted on "
+                f"{self.n_features} features"
+            )
+        node = np.repeat(self.roots, n_rows)
+        cells = np.ascontiguousarray(X).ravel()
+        # the pairs still at a split node: their index, node and row offset
+        # in ``cells``; pairs that reach a leaf are written back and dropped
+        pending = np.arange(len(node))
+        at = node
+        row_start = np.tile(np.arange(n_rows, dtype=np.int64) * width, len(self.roots))
+        while True:
+            feature = self.feature[at]
+            inner = feature >= 0
+            if not inner.all():
+                node[pending] = at
+                pending, at, feature = pending[inner], at[inner], feature[inner]
+                row_start = row_start[inner]
+            if not len(pending):
+                return node.reshape(len(self.roots), n_rows)
+            go_left = cells[row_start + feature] <= self.threshold[at]
+            at = np.where(go_left, self.left[at], self.right[at])
 
 
 def _resolve_max_features(option, n_features: int) -> int:
@@ -90,7 +158,8 @@ class _Growth:
     """
 
     __slots__ = (
-        "tree", "binned", "X", "y", "n_classes", "n_bins", "rng", "nodes",
+        "tree", "binned", "X", "y", "n_classes", "n_bins", "rng",
+        "feature", "threshold", "left", "right", "values",
         "importances", "n_total", "n_candidates", "stack",
         "index", "rows", "depth", "node_y", "candidates",
     )
@@ -115,7 +184,12 @@ class _Growth:
         self.tree = tree
         self.y, self.n_classes = tree._prepare_target(y, sample_indices)
         self.rng = np.random.default_rng(tree.random_state)
-        self.nodes: list[_Node] = []
+        # the node arrays under construction, one entry per node
+        self.feature: list[int] = []
+        self.threshold: list[float] = []
+        self.left: list[int] = []
+        self.right: list[int] = []
+        self.values: list[np.ndarray] = []
         self.importances = np.zeros(tree.n_features_, dtype=np.float64)
         self.n_candidates = _resolve_max_features(tree.max_features, tree.n_features_)
         if sample_indices is None:
@@ -128,15 +202,12 @@ class _Growth:
 
     def advance(self) -> bool:
         """Pop nodes until one needs a split search; ``False`` once grown."""
-        tree, nodes = self.tree, self.nodes
+        tree = self.tree
         while self.stack:
             rows, depth, parent, is_left = self.stack.pop()
-            index = len(nodes)
+            index = len(self.feature)
             if parent >= 0:
-                if is_left:
-                    nodes[parent].left = index
-                else:
-                    nodes[parent].right = index
+                (self.left if is_left else self.right)[parent] = index
             y = self.y[rows]
             n = len(rows)
             # np.add.reduce(...)/n is bit-identical to np.mean / np.var
@@ -146,7 +217,11 @@ class _Growth:
             else:
                 counts = np.bincount(y, minlength=self.n_classes)
                 value = counts / max(counts.sum(), 1)
-            nodes.append(_Node(-1, 0.0, -1, -1, value))
+            self.feature.append(-1)
+            self.threshold.append(0.0)
+            self.left.append(-1)
+            self.right.append(-1)
+            self.values.append(value)
             if n < tree.min_samples_split or (
                 tree.max_depth is not None and depth >= tree.max_depth
             ):
@@ -199,16 +274,22 @@ class _Growth:
         if n_left < min_leaf or (n - n_left) < min_leaf:
             return
         self.importances[feature] += gain * (n / self.n_total)
-        node = self.nodes[self.index]
-        node.feature = feature
-        node.threshold = threshold
+        self.feature[self.index] = feature
+        self.threshold[self.index] = threshold
         # right pushed first so the left subtree is grown (and numbered) first
         self.stack.append((rows[~mask], self.depth + 1, self.index, False))
         self.stack.append((rows[mask], self.depth + 1, self.index, True))
 
     def finish(self) -> None:
         tree = self.tree
-        tree._nodes = self.nodes
+        tree._nodes = NodeArrays(
+            np.array(self.feature, dtype=np.int32),
+            np.array(self.threshold, dtype=np.float64),
+            np.array(self.left, dtype=np.int32),
+            np.array(self.right, dtype=np.int32),
+            np.stack(self.values).astype(np.float64, copy=False),
+            tree.n_features_,
+        )
         total = self.importances.sum()
         if total > 0:
             tree.feature_importances_ = self.importances / total
@@ -422,7 +503,7 @@ class _BaseDecisionTree(BaseEstimator):
         self.random_state = random_state
         self.tree_method = tree_method
         self.max_bins = max_bins
-        self._nodes: list[_Node] = []
+        self._nodes: NodeArrays | None = None
         self.n_features_: int = 0
         self.feature_importances_: np.ndarray | None = None
 
@@ -453,25 +534,12 @@ class _BaseDecisionTree(BaseEstimator):
 
     # inference ------------------------------------------------------------------
 
-    def _predict_values(self, X: np.ndarray) -> np.ndarray:
-        """Route every row to a leaf and return the stacked leaf values."""
+    def _predict_values(self, X) -> np.ndarray:
+        """The leaf value of every row, shape ``(rows, values width)``."""
         X = check_array(X)
-        if not self._nodes:
+        if self._nodes is None:
             raise RuntimeError("tree must be fitted before prediction")
-        out = np.empty((X.shape[0], len(self._nodes[0].value)), dtype=np.float64)
-        # an explicit stack, not recursion: unbounded trees can be deeper
-        # than the interpreter's recursion limit
-        stack = [(0, np.arange(X.shape[0]))]
-        while stack:
-            node_index, indices = stack.pop()
-            node = self._nodes[node_index]
-            if node.feature < 0 or len(indices) == 0:
-                out[indices] = node.value
-                continue
-            mask = X[indices, node.feature] <= node.threshold
-            stack.append((node.right, indices[~mask]))
-            stack.append((node.left, indices[mask]))
-        return out
+        return self._nodes.values[self._nodes.leaves(X)[0]]
 
     # persistence ----------------------------------------------------------------
 
@@ -493,18 +561,19 @@ class _BaseDecisionTree(BaseEstimator):
         :mod:`repro.serving.artifact`.  :meth:`from_state` inverts it exactly:
         a round-tripped tree predicts bit-identically.
         """
-        if not self._nodes:
+        if self._nodes is None:
             raise RuntimeError("cannot serialise an unfitted tree")
+        nodes = self._nodes
         doc = {
             "params": {name: getattr(self, name) for name in self._PARAM_NAMES},
             "n_features": int(self.n_features_),
         }
         arrays = {
-            "feature": np.array([n.feature for n in self._nodes], dtype=np.int32),
-            "threshold": np.array([n.threshold for n in self._nodes], dtype=np.float64),
-            "left": np.array([n.left for n in self._nodes], dtype=np.int32),
-            "right": np.array([n.right for n in self._nodes], dtype=np.int32),
-            "values": np.stack([n.value for n in self._nodes]).astype(np.float64),
+            "feature": nodes.feature,
+            "threshold": nodes.threshold,
+            "left": nodes.left,
+            "right": nodes.right,
+            "values": nodes.values,
             "importances": np.asarray(self.feature_importances_, dtype=np.float64),
         }
         return doc, arrays
@@ -515,22 +584,14 @@ class _BaseDecisionTree(BaseEstimator):
             if name in params:
                 setattr(self, name, params[name])
         self.n_features_ = int(doc["n_features"])
-        self._nodes = [
-            _Node(
-                int(feature),
-                float(threshold),
-                int(left),
-                int(right),
-                np.asarray(value, dtype=np.float64),
-            )
-            for feature, threshold, left, right, value in zip(
-                arrays["feature"],
-                arrays["threshold"],
-                arrays["left"],
-                arrays["right"],
-                arrays["values"],
-            )
-        ]
+        self._nodes = NodeArrays(
+            np.asarray(arrays["feature"], dtype=np.int32),
+            np.asarray(arrays["threshold"], dtype=np.float64),
+            np.asarray(arrays["left"], dtype=np.int32),
+            np.asarray(arrays["right"], dtype=np.int32),
+            np.asarray(arrays["values"], dtype=np.float64),
+            self.n_features_,
+        )
         self.feature_importances_ = np.asarray(arrays["importances"], dtype=np.float64)
 
     @classmethod
@@ -543,23 +604,19 @@ class _BaseDecisionTree(BaseEstimator):
     @property
     def node_count(self) -> int:
         """Number of nodes in the fitted tree."""
-        return len(self._nodes)
+        return 0 if self._nodes is None else len(self._nodes.feature)
 
     def depth(self) -> int:
         """Depth of the fitted tree (0 for a single leaf)."""
-        if not self._nodes:
+        if self._nodes is None:
             return 0
-        deepest = 0
-        stack = [(0, 0)]
-        while stack:
-            index, depth = stack.pop()
-            node = self._nodes[index]
-            if node.feature < 0:
-                deepest = max(deepest, depth)
-            else:
-                stack.append((node.left, depth + 1))
-                stack.append((node.right, depth + 1))
-        return deepest
+        nodes, level, depth = self._nodes, np.zeros(1, dtype=np.int64), 0
+        while True:
+            level = level[nodes.feature[level] >= 0]
+            if not len(level):
+                return depth
+            level = np.concatenate([nodes.left[level], nodes.right[level]])
+            depth += 1
 
 
 class DecisionTreeRegressor(_BaseDecisionTree, RegressorMixin):

@@ -13,12 +13,15 @@ Architecture (one process, threads only):
   bounded queue and block on the job's event.  A full queue answers 503
   immediately: backpressure beats unbounded latency.
 * **scoring** — ``workers`` scorer threads pull from the queue.  A worker
-  takes the first job blocking, then coalesces more until the batch reaches
-  ``max_batch_rows`` rows or ``max_wait_ms`` passes, decodes *all* coalesced
-  rows into one table, predicts once, and splits the vector back per job by
-  row offsets.  Single-row requests arriving together therefore pay one join
-  replay and one estimator dispatch.  If the merged batch fails, each job is
-  re-scored alone so one malformed request cannot fail its batch-mates.
+  blocks for the first job, then takes whatever else is *already* queued —
+  up to ``max_batch_rows`` rows — without ever waiting on an empty queue, so
+  a lone request is scored at once.  A backlog still coalesces: requests
+  queue up while every worker is busy, and the next free worker takes them
+  all.  It decodes *all* coalesced rows into one table, predicts once, and
+  splits the vector back per job by row offsets, so requests scored together
+  pay one join replay and one estimator dispatch.  If the merged batch fails,
+  each job is re-scored alone so one malformed request cannot fail its
+  batch-mates.
 * **generations** — the live pipeline is wrapped in a ``_Generation`` with an
   in-flight refcount.  A hot reload loads + binds + warms the *new* pipeline
   completely before swapping the pointer; the old generation is retired and
@@ -84,10 +87,11 @@ def _artifact_fingerprint(path: Path) -> str:
 class _Job:
     """One admitted predict request, waiting on a scorer worker."""
 
-    __slots__ = ("rows", "event", "predictions", "error", "generation")
+    __slots__ = ("rows", "admitted", "event", "predictions", "error", "generation")
 
     def __init__(self, rows: list[dict]):
         self.rows = rows
+        self.admitted = time.monotonic()
         self.event = threading.Event()
         self.predictions: list | None = None
         self.error: tuple[int, str] | None = None  # (http status, message)
@@ -514,23 +518,18 @@ class PredictionServer:
     # -- scoring ---------------------------------------------------------------
 
     def _worker_loop(self) -> None:
-        config = self.config
         while True:
             job = self._queue.get()
             if job is _STOP:
                 return
             jobs = [job]
             rows = job.count
-            deadline = time.monotonic() + config.max_wait_ms / 1000.0
             stop_seen = False
-            while rows < config.max_batch_rows:
-                remaining = deadline - time.monotonic()
+            # coalesce only what is already queued: an idle queue is not
+            # waited on, so a lone request never pays for a batch-mate
+            while rows < self.config.max_batch_rows:
                 try:
-                    nxt = (
-                        self._queue.get(timeout=remaining)
-                        if remaining > 0
-                        else self._queue.get_nowait()
-                    )
+                    nxt = self._queue.get_nowait()
                 except queue.Empty:
                     break
                 if nxt is _STOP:
@@ -558,6 +557,9 @@ class PredictionServer:
                 float(sum(job.count for job in jobs))
             )
             started = time.monotonic()
+            queue_wait = self.registry.histogram("server.queue_wait_s")
+            for job in jobs:
+                queue_wait.observe(started - job.admitted)
             try:
                 merged = [row for job in jobs for row in job.rows]
                 payload = self._predict_rows(generation.pipeline, merged)

@@ -22,6 +22,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import queue
 import shutil
 import signal
 import subprocess
@@ -56,7 +57,7 @@ from repro.serving.codec import (
     predictions_to_payload,
     rows_to_table,
 )
-from repro.serving.server import _Job
+from repro.serving.server import _STOP, _Job
 
 SRC_DIR = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -160,7 +161,6 @@ class TestServingConfig:
         [
             {"workers": 0},
             {"max_batch_rows": 0},
-            {"max_wait_ms": -1.0},
             {"queue_depth": 0},
             {"max_request_rows": 0},
             {"reload_interval_s": -0.1},
@@ -220,7 +220,7 @@ class TestCodec:
 
 class TestPredictionServer:
     def test_concurrent_singles_and_batch_identical_to_offline(self, trained):
-        with make_server(trained.artifact, trained.lake, max_wait_ms=5.0) as server:
+        with make_server(trained.artifact, trained.lake) as server:
             results = [None] * len(trained.rows)
 
             def fetch(i):
@@ -269,6 +269,63 @@ class TestPredictionServer:
             assert batches.sum == 5.0
         finally:
             server.close()
+
+    def test_lone_job_is_scored_without_waiting_on_an_empty_queue(self, trained):
+        # a worker that has taken a job may drain what is already queued, but
+        # must never park on the empty queue hoping for a batch-mate
+        calls = []
+
+        class RecordingQueue(queue.Queue):
+            def get(self, block=True, timeout=None):
+                calls.append((block, timeout, self.qsize()))
+                return super().get(block, timeout)
+
+        server = PredictionServer(
+            trained.artifact,
+            repository=str(trained.lake),
+            config=ServingConfig(port=0, workers=1),
+            registry=MetricsRegistry(),
+        )
+        server._live = server._load_generation(index=0)
+        server._queue = RecordingQueue()
+        worker = threading.Thread(target=server._worker_loop)
+        worker.start()
+        try:
+            job = _Job([trained.rows[0]])
+            server._queue.put(job)
+            assert job.event.wait(timeout=30)
+            assert job.error is None and job.predictions == [trained.expected[0]]
+        finally:
+            server._queue.put(_STOP)
+            worker.join(timeout=30)
+            server.close()
+        assert not worker.is_alive()
+        waits_on_empty = [
+            (block, timeout)
+            for block, timeout, queued in calls
+            if block and timeout is not None and queued == 0
+        ]
+        assert waits_on_empty == []
+
+    def test_queue_wait_recorded_per_request(self, trained):
+        with make_server(trained.artifact, trained.lake) as server:
+            threads = [
+                threading.Thread(
+                    target=http_post, args=(server.address, trained.rows[i])
+                )
+                for i in range(6)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+            http_post(server.address, {"rows": trained.rows[:3]})
+            status, snap = http_get(server.address, "/metrics")
+            assert status == 200
+            assert snap["counters"]["server.requests"] == 7.0
+            waits = snap["histograms"]["server.queue_wait_s"]
+            assert waits["count"] == snap["counters"]["server.requests"]
+            assert waits["sum"] >= 0.0
 
     def test_bad_job_in_coalesced_batch_fails_alone(self, trained):
         server = PredictionServer(
@@ -349,7 +406,7 @@ class TestPredictionServer:
             assert not state["draining"]
 
     def test_graceful_shutdown_drains_admitted_requests(self, trained):
-        server = make_server(trained.artifact, trained.lake, max_wait_ms=5.0)
+        server = make_server(trained.artifact, trained.lake)
         address = server.address
         outcomes = []
         lock = threading.Lock()
@@ -436,7 +493,7 @@ class TestPredictionServer:
         swaps = max(2, int(os.environ.get("ARDA_STRESS", "0") or 0) // 50)
         with make_server(
             mutable_copy.artifact, mutable_copy.lake,
-            workers=3, reload_interval_s=0.05, max_wait_ms=2.0,
+            workers=3, reload_interval_s=0.05,
         ) as server:
             failures: list = []
             generations: set[int] = set()

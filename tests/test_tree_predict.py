@@ -166,6 +166,47 @@ def test_digest_file_covers_exactly_the_cases():
     assert set(_expected()) == set(CASES)
 
 
+@pytest.mark.parametrize(
+    "cls, target", [(RandomForestRegressor, "reg"), (RandomForestClassifier, "rare")]
+)
+def test_row_scored_alone_matches_its_batch(cls, target):
+    # a micro-batching server scores a row alone or beside others; every
+    # row must get the same bits either way (a pairwise sum over the trees
+    # would round some rows differently at width 1)
+    X, query, targets = _data()
+    forest = cls(n_estimators=10, random_state=21, max_bins=MAX_BINS).fit(X, targets[target])
+    predict = forest.predict_proba if target == "rare" else forest.predict
+    alone = np.concatenate([predict(query[i : i + 1]) for i in range(len(query))])
+    assert alone.tobytes() == predict(query).tobytes()
+
+
+# -- width ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("width", [N_FEATURES - 1, N_FEATURES + 2])
+def test_wrong_width_raises_naming_both_widths(width):
+    X, _query, targets = _data()
+    tree = DecisionTreeRegressor(max_depth=4, random_state=0).fit(X, targets["reg"])
+    forest = RandomForestClassifier(n_estimators=3, random_state=0).fit(X, targets["clf"])
+    restored = _restore_state(forest)
+    bad = np.zeros((4, width))
+    pattern = rf"X has {width} features, but the model was fitted on {N_FEATURES} features"
+    for predict in (tree.predict, forest.predict, forest.predict_proba, restored.predict):
+        with pytest.raises(ValueError, match=pattern):
+            predict(bad)
+        with pytest.raises(ValueError, match=pattern):
+            predict(bad[:0])
+
+
+def test_empty_batch_predicts_empty():
+    X, _query, targets = _data()
+    tree = DecisionTreeClassifier(random_state=0).fit(X, targets["clf"])
+    forest = RandomForestRegressor(n_estimators=3, random_state=0).fit(X, targets["reg"])
+    empty = np.empty((0, N_FEATURES))
+    assert tree.predict_proba(empty).shape == (0, 3)
+    assert forest.predict(empty).shape == (0,)
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--record"]:
         sys.exit("usage: python tests/test_tree_predict.py --record")
