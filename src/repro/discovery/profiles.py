@@ -258,8 +258,14 @@ class ColumnProfileAccumulator:
             elif len(other._distinct):
                 self._distinct = np.union1d(self._distinct, other._distinct)
 
-    def distinct_values(self) -> list:
-        """The merged distinct values, ordered as ``Column.unique`` would."""
+    def distinct_values(self) -> list | np.ndarray:
+        """The merged distinct values, ordered as ``Column.unique`` would.
+
+        Numeric values come back as the sorted array itself, not a list:
+        boxing every distinct value of a large column into its own Python
+        object made profiling a chunked base the peak-memory step of an
+        augment, and a heap-layout-dependent one.
+        """
         if self.ctype is CATEGORICAL:
             dictionary = np.empty(len(self._dict_index), dtype=object)
             for text, code in self._dict_index.items():
@@ -269,7 +275,7 @@ class ColumnProfileAccumulator:
             return [dictionary[code] for code in seen[order]]
         if self._distinct is None:
             return []
-        return list(self._distinct)
+        return self._distinct
 
     def finish(self) -> ColumnProfile:
         """Emit the profile of everything folded in so far."""

@@ -20,7 +20,11 @@ from hypothesis import given, settings, strategies as st
 
 from repro import ARDA, ARDAConfig
 from repro.cli import main as cli_main
-from repro.discovery.profiles import profile_table, profile_table_chunks
+from repro.discovery.profiles import (
+    ColumnProfileAccumulator,
+    profile_table,
+    profile_table_chunks,
+)
 from repro.discovery.repository import DataRepository
 from repro.ml.binning import BinnedMatrix
 from repro.relational.join import (
@@ -375,6 +379,21 @@ class TestChunkedProfilesAndBinning:
         assert set(chunked) == set(reference)
         for name in reference:
             assert chunked[name].to_state() == reference[name].to_state()
+
+    def test_numeric_profile_finish_does_not_box_distinct_values(self):
+        n = 400_000
+        accumulator = ColumnProfileAccumulator("t", "num", NUMERIC)
+        accumulator.update(Table.from_dict({"num": np.arange(n, dtype=float)}).column("num"))
+        tracemalloc.start()
+        baseline = tracemalloc.get_traced_memory()[0]
+        profile = accumulator.finish()
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert profile.num_distinct == n
+        assert (profile.min_value, profile.max_value) == (0.0, n - 1.0)
+        # boxing every distinct value costs n * 40 bytes (float object plus
+        # list slot); the signature's own scratch is a few MB whatever n is
+        assert peak - baseline < n * 16
 
     def test_minhash_merge_is_exact_union(self):
         table = self._mixed_table()
