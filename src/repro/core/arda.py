@@ -146,22 +146,26 @@ class ARDA:
             task = infer_task(encode_target(base_table.column(target)))
         dataset_name = dataset_name or base_table.name
 
-        discovery_time = 0.0
-        if candidates is None:
-            discovery_start = time.perf_counter()
-            candidates = self._discover(base_table, repository, target, soft_key_columns)
-            discovery_time = time.perf_counter() - discovery_start
-        candidates = list(candidates)
-        tables_considered = len(candidates)
-        candidates = self._tuple_ratio_filter(base_table, repository, candidates)
-
-        coreset_start = time.perf_counter()
-        coreset = self._build_coreset(base_table, target)
-        coreset_time = time.perf_counter() - coreset_start
-        score_base = base_table if isinstance(base_table, Table) else coreset
-
+        # one executor serves the whole call: discovery's profile shards and
+        # the join batches
         executor = make_executor(config.executor, config.n_jobs)
         try:
+            discovery_time = 0.0
+            if candidates is None:
+                discovery_start = time.perf_counter()
+                candidates = self._discover(
+                    base_table, repository, target, soft_key_columns, executor
+                )
+                discovery_time = time.perf_counter() - discovery_start
+            candidates = list(candidates)
+            tables_considered = len(candidates)
+            candidates = self._tuple_ratio_filter(base_table, repository, candidates)
+
+            coreset_start = time.perf_counter()
+            coreset = self._build_coreset(base_table, target)
+            coreset_time = time.perf_counter() - coreset_start
+            score_base = base_table if isinstance(base_table, Table) else coreset
+
             selection = self._select_batches(
                 coreset, repository, candidates, target, task, executor
             )
@@ -207,29 +211,23 @@ class ARDA:
 
     # -- stages -----------------------------------------------------------------------
 
-    def _discover(self, base_table, repository, target, soft_key_columns) -> list[JoinCandidate]:
-        """Join discovery over the repository (when no candidates are given)."""
+    def _discover(
+        self, base_table, repository, target, soft_key_columns, executor
+    ) -> list[JoinCandidate]:
+        """Join discovery over the repository (when no candidates are given).
+
+        Profiling shards fan out over ``executor``; rankings are
+        byte-identical to serial, so this changes wall-clock only.
+        """
         config = self.config
         discovery = JoinDiscovery(use_cache=config.cache_profiles)
-        # sharded profiling: fan per-(table, chunk-range) work over the
-        # configured executor backend; rankings are byte-identical to serial,
-        # so this changes wall-clock only
-        executor = (
-            make_executor(config.executor, config.n_jobs)
-            if config.executor != "serial"
-            else None
+        candidates = discovery.discover(
+            base_table,
+            repository,
+            target=target,
+            soft_key_columns=soft_key_columns,
+            executor=executor,
         )
-        try:
-            candidates = discovery.discover(
-                base_table,
-                repository,
-                target=target,
-                soft_key_columns=soft_key_columns,
-                executor=executor,
-            )
-        finally:
-            if executor is not None:
-                executor.shutdown()
         if config.persist_profiles and repository.is_disk_backed:
             # the next process serves every discovery profile from the
             # sidecar without reading a single table body; a repository on

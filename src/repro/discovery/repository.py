@@ -518,6 +518,8 @@ def _profiles_many(
     ``serial`` callable.  Shard timings and counts land on the process
     metrics registry under ``discovery.*``.
     """
+    if executor is None or executor.n_jobs <= 1:
+        return {name: serial(name) for name in names}
     results: dict[str, dict[str, ColumnProfile]] = {}
     shardable: list[tuple[str, _CatalogEntry]] = []
     for name in names:
@@ -531,10 +533,6 @@ def _profiles_many(
             continue
         shardable.append((name, entry))
     if not shardable:
-        return results
-    if executor is None or executor.n_jobs <= 1:
-        for name, _entry in shardable:
-            results[name] = serial(name)
         return results
 
     jobs = _plan_shards(shardable, executor.n_jobs)

@@ -6,16 +6,16 @@ many-to-many joins reduce to the row-preserving one-to-one / many-to-one cases
 
 Group identification is fully vectorised on top of the columnar storage:
 categorical key columns contribute their dictionary codes directly, numeric
-key columns are factorised once, and the per-column codes are packed
-mixed-radix into a single ``int64`` per row (the same trick the hash-join
-probe uses).  A Python-loop fallback is kept for the pathological case where
-the packed key space would overflow ``int64``; it doubles as the reference
-implementation the property tests compare against.
+key columns are factorised once, and the per-column codes are packed into a
+single ``int64`` per row by :func:`pack_key_codes` — the one composite-key
+packer the hash-join probe and the tuple-ratio domain count use too.  The
+packing is exact for any key width (no hashing, so distinct keys never
+collide).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -107,58 +107,57 @@ def column_group_codes(col: Column) -> tuple[np.ndarray, int]:
     return codes, 0
 
 
+def pack_key_codes(
+    parts: Iterable[tuple[Sequence[np.ndarray], int]], sizes: Sequence[int]
+) -> list[np.ndarray]:
+    """Pack composite-key codes into one ``int64`` per row, exactly.
+
+    Each part is one key column: ``(codes, domain)`` with one code array per
+    side (``sizes`` gives the sides' row counts; a join passes its probe and
+    build sides so both share one code space), non-missing codes in
+    ``[0, domain)`` and ``-1`` for missing.  Returns one packed array per side;
+    two rows, of any sides, get equal packed values exactly when all their
+    key parts are equal (missing equals missing).
+
+    Parts are packed mixed-radix (radix ``domain + 1``, missing as digit 0).
+    When the running span would pass ``2**62``, the packed prefix of all sides
+    is re-densified with one ``np.unique`` — leaving at most as many codes as
+    rows — and packing continues from there.  Keys whose span fits never take
+    that step and get the plain mixed-radix values.
+    """
+    packed = [np.zeros(n, dtype=np.int64) for n in sizes]
+    span = 1
+    for codes, domain in parts:
+        radix = domain + 1
+        if span * radix > 2**62:
+            uniques, inverse = np.unique(np.concatenate(packed), return_inverse=True)
+            packed = np.split(inverse.astype(np.int64, copy=False), np.cumsum(sizes)[:-1])
+            span = len(uniques)
+        packed = [prefix * radix + (c + 1) for prefix, c in zip(packed, codes)]
+        span *= radix
+    return packed
+
+
 def _group_rows(table: Table, keys: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
     """Vectorised group identification.
 
     Returns ``(group_ids, first_rows)``: ``group_ids[i]`` is the group of row
     ``i``, groups are numbered by first appearance, and ``first_rows[g]`` is
     the first row index of group ``g``.  Missing key values participate as
-    their own key symbol, exactly like the object-tuple fallback.
+    their own key symbol.
     """
     key_columns = [table.column(k) for k in keys]
     n = table.num_rows
     if n == 0:
         empty = np.empty(0, dtype=np.int64)
         return empty, empty.copy()
-    packed = np.zeros(n, dtype=np.int64)
-    span = 1
-    for col in key_columns:
-        codes, domain = column_group_codes(col)
-        radix = domain + 1
-        span *= radix
-        if span > 2**62:
-            return _group_rows_fallback(table, keys)
-        packed = packed * radix + (codes + 1)
+    parts = (column_group_codes(col) for col in key_columns)
+    (packed,) = pack_key_codes((((codes,), domain) for codes, domain in parts), (n,))
     _, first_seen, inverse = np.unique(packed, return_index=True, return_inverse=True)
     appearance = np.argsort(first_seen, kind="stable")
     rank = np.empty(len(first_seen), dtype=np.int64)
     rank[appearance] = np.arange(len(first_seen))
     return rank[inverse], first_seen[appearance]
-
-
-def _group_rows_fallback(table: Table, keys: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
-    """Object-tuple group identification (reference path / overflow fallback)."""
-    key_columns = [table.column(k) for k in keys]
-    n = table.num_rows
-    index_of: dict[tuple, int] = {}
-    group_ids = np.empty(n, dtype=np.int64)
-    first_rows: list[int] = []
-    for i in range(n):
-        parts = []
-        for col in key_columns:
-            value = col.value_at(i)
-            if col.ctype is CATEGORICAL:
-                parts.append(value)
-            else:
-                parts.append(None if np.isnan(value) else float(value))
-        key = tuple(parts)
-        group = index_of.get(key)
-        if group is None:
-            group = len(first_rows)
-            index_of[key] = group
-            first_rows.append(i)
-        group_ids[i] = group
-    return group_ids, np.array(first_rows, dtype=np.int64)
 
 
 def group_by_aggregate(

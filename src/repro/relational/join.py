@@ -46,35 +46,10 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from repro.relational.aggregate import group_by_aggregate, is_unique_on
+from repro.relational.aggregate import group_by_aggregate, is_unique_on, pack_key_codes
 from repro.relational.column import Column, remap_dictionary
 from repro.relational.schema import CATEGORICAL, NUMERIC, Schema
 from repro.relational.table import Table, concat_tables, unique_name
-
-
-def _key_tuple(columns: Sequence[Column], index: int) -> tuple:
-    """Hashable key tuple for one row (missing values collapse to None)."""
-    parts = []
-    for col in columns:
-        value = col.values[index]
-        if col.ctype is CATEGORICAL:
-            parts.append(value)
-        else:
-            parts.append(None if np.isnan(value) else float(value))
-    return tuple(parts)
-
-
-def _build_hash_index(columns: Sequence[Column]) -> dict[tuple, int]:
-    """Map each key tuple to the first row index where it appears."""
-    index: dict[tuple, int] = {}
-    n = len(columns[0]) if columns else 0
-    for i in range(n):
-        key = _key_tuple(columns, i)
-        if None in key:
-            continue
-        if key not in index:
-            index[key] = i
-    return index
 
 
 def _factorize_pair(
@@ -119,34 +94,28 @@ def _match_first_occurrence(
 ) -> np.ndarray:
     """Vectorised hash-join probe: first matching right row per left row.
 
-    Replicates ``_build_hash_index`` + per-row lookup (first right occurrence
-    wins, rows with a missing key part never match) without the per-row Python
-    loop: each key pair is factorised into shared integer codes, composite keys
-    are packed mixed-radix into one int64, and the probe becomes a
-    ``searchsorted`` against the first occurrence of each right key.  Falls
-    back to the dict-based path if the packed codes would overflow int64
-    (only possible for very wide composite keys over huge domains).
+    The first right occurrence of a key wins and rows with a missing key part
+    never match.  Each key pair is factorised into shared integer codes, the
+    composite keys of both sides are packed into one shared ``int64`` code
+    space (:func:`~repro.relational.aggregate.pack_key_codes`, exact for any
+    key width), and the probe becomes a ``searchsorted`` against the first
+    occurrence of each right key.
     """
     n_left = len(left_columns[0])
     n_right = len(right_columns[0])
-    left_code = np.zeros(n_left, dtype=np.int64)
-    right_code = np.zeros(n_right, dtype=np.int64)
     left_ok = np.ones(n_left, dtype=bool)
     right_ok = np.ones(n_right, dtype=bool)
-    span = 1
+    parts = []
     for left_col, right_col in zip(left_columns, right_columns):
         pair = _factorize_pair(left_col, right_col)
         if pair is None:
             return np.full(n_left, -1, dtype=np.int64)
         codes_left, codes_right = pair
-        radix = int(max(codes_left.max(initial=-1), codes_right.max(initial=-1))) + 2
-        span *= radix
-        if span > 2**62:
-            return _match_via_hash_index(left_columns, right_columns)
         left_ok &= codes_left >= 0
         right_ok &= codes_right >= 0
-        left_code = left_code * radix + (codes_left + 1)
-        right_code = right_code * radix + (codes_right + 1)
+        domain = int(max(codes_left.max(initial=-1), codes_right.max(initial=-1))) + 1
+        parts.append((pair, domain))
+    left_code, right_code = pack_key_codes(parts, (n_left, n_right))
 
     match_index = np.full(n_left, -1, dtype=np.int64)
     right_rows = np.nonzero(right_ok)[0]
@@ -167,21 +136,6 @@ def _match_first_occurrence(
     clipped = np.clip(positions, 0, len(unique_keys) - 1)
     hit = in_range & (unique_keys[clipped] == probe)
     match_index[left_rows[hit]] = first_rows[clipped[hit]]
-    return match_index
-
-
-def _match_via_hash_index(
-    left_columns: Sequence[Column], right_columns: Sequence[Column]
-) -> np.ndarray:
-    """Reference dict-based probe (kept as the overflow fallback)."""
-    hash_index = _build_hash_index(right_columns)
-    n = len(left_columns[0])
-    match_index = np.full(n, -1, dtype=np.int64)
-    for i in range(n):
-        key = _key_tuple(left_columns, i)
-        if None in key:
-            continue
-        match_index[i] = hash_index.get(key, -1)
     return match_index
 
 

@@ -22,8 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.relational.aggregate import column_group_codes
-from repro.relational.schema import CATEGORICAL
+from repro.relational.aggregate import column_group_codes, pack_key_codes
 from repro.relational.table import Table
 
 
@@ -40,8 +39,9 @@ def foreign_key_domain_size(table: Table, key_columns: list[str]) -> int:
     """Number of distinct (non-missing) join-key tuples in a foreign table.
 
     Key columns are reduced to integer codes (dictionary codes for
-    categoricals) and composite keys are packed mixed-radix into one ``int64``
-    per row, so counting the domain is a single ``np.unique`` over integers.
+    categoricals) and composite keys are packed into one ``int64`` per row
+    (:func:`~repro.relational.aggregate.pack_key_codes`), so counting the
+    domain is a single ``np.unique`` over integers.
     """
     if not key_columns:
         return 0
@@ -49,40 +49,14 @@ def foreign_key_domain_size(table: Table, key_columns: list[str]) -> int:
     n = table.num_rows
     if n == 0:
         return 0
-    packed = np.zeros(n, dtype=np.int64)
     complete = np.ones(n, dtype=bool)
-    span = 1
+    parts = []
     for col in columns:
         codes, domain = column_group_codes(col)
-        span *= domain + 1
-        if span > 2**62:
-            return _domain_size_fallback(columns, n)
         complete &= codes >= 0
-        packed = packed * (domain + 1) + (codes + 1)
+        parts.append(((codes,), domain))
+    (packed,) = pack_key_codes(parts, (n,))
     return len(np.unique(packed[complete]))
-
-
-def _domain_size_fallback(columns, n_rows: int) -> int:
-    """Object-tuple domain count (reference path / packed-key overflow)."""
-    seen: set[tuple] = set()
-    for i in range(n_rows):
-        parts = []
-        missing = False
-        for col in columns:
-            value = col.value_at(i)
-            if col.ctype is CATEGORICAL:
-                if value is None:
-                    missing = True
-                    break
-                parts.append(value)
-            else:
-                if np.isnan(value):
-                    missing = True
-                    break
-                parts.append(float(value))
-        if not missing:
-            seen.add(tuple(parts))
-    return len(seen)
 
 
 def tuple_ratio(base_rows: int, foreign_table: Table, key_columns: list[str]) -> float:

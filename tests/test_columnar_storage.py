@@ -18,11 +18,13 @@ from hypothesis import given, settings, strategies as st
 
 from repro.discovery.profiles import profile_column
 from repro.discovery.repository import ProfileCache
-from repro.relational.aggregate import _group_rows, _group_rows_fallback, group_by_aggregate
+from key_oracles import group_rows as _group_rows_fallback
+from key_oracles import match_via_hash_index as _match_via_hash_index
+from repro.relational.aggregate import _group_rows, group_by_aggregate
 from repro.relational.column import Column
 from repro.relational.encoding import encode_features, encode_target
 from repro.relational.imputation import impute_categorical_random
-from repro.relational.join import _match_first_occurrence, _match_via_hash_index
+from repro.relational.join import _match_first_occurrence
 from repro.relational.schema import CATEGORICAL
 from repro.relational.table import Table
 

@@ -261,6 +261,14 @@ class TestProfileCache:
         JoinDiscovery(use_cache=False).discover(base, repo, target="target")
         assert repo.profile_cache.stats()["misses"] == 0
 
+    def test_one_worker_profiles_many_counts_each_miss_once(self, tmp_path):
+        source, repo = _repo_with(3), DataRepository.open(tmp_path)
+        for name in source.table_names:
+            repo.add(source.get(name))
+        cold = DataRepository.open(tmp_path, load_profiles=False)
+        cold.profiles_many(cold.table_names, executor=SerialJoinExecutor())
+        assert cold.profile_cache.stats()["misses"] == 3
+
     def test_standalone_cache_identity_guard(self):
         cache = ProfileCache()
         table = _repo_with(1).get("t0")
@@ -287,6 +295,26 @@ class TestARDACacheReuse:
         stats = repository.profile_cache.stats()
         assert stats["misses"] == len(repository)  # no re-profiling
         assert stats["hits"] == len(repository)
+
+    def test_one_executor_serves_discovery_and_joins(self, small_dataset, monkeypatch):
+        import repro.core.arda as arda
+
+        made = []
+
+        def counting_make_executor(name, n_jobs=None):
+            made.append(make_executor(name, n_jobs))
+            return made[-1]
+
+        monkeypatch.setattr(arda, "make_executor", counting_make_executor)
+        config = ARDAConfig(
+            selector="random forest", coreset_size=150, random_state=0,
+            executor="thread", n_jobs=2,
+        )
+        ARDA(config).augment_tables(
+            small_dataset.base_table, DataRepository(list(small_dataset.repository)),
+            target="target", task="regression",
+        )
+        assert len(made) == 1
 
     def test_cache_profiles_false_bypasses_cache(self, small_dataset):
         repository = DataRepository(list(small_dataset.repository))

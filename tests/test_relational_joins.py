@@ -83,7 +83,8 @@ class TestVectorisedProbe:
 
     @staticmethod
     def _both(left, right, on):
-        from repro.relational.join import _match_first_occurrence, _match_via_hash_index
+        from key_oracles import match_via_hash_index as _match_via_hash_index
+        from repro.relational.join import _match_first_occurrence
 
         left_cols = [left.column(a) for a, _ in on]
         right_cols = [right.column(b) for _, b in on]
